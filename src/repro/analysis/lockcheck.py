@@ -37,6 +37,7 @@ interleaving still produces a report instead of hanging silently first.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import sys
 import threading
 import traceback
@@ -61,6 +62,11 @@ def _current_task() -> Optional["asyncio.Task[Any]"]:
 
 #: Stack frames kept per recorded acquisition site.
 _STACK_LIMIT = 16
+
+#: Graph keys for checked locks.  ``id()`` would be reused by a lock
+#: allocated after another is freed, chaining a dead lock's edges onto
+#: an unrelated live one and reporting cycles no run can deadlock on.
+_lock_keys = itertools.count(1)
 
 
 def _creation_site() -> str:
@@ -264,21 +270,22 @@ class CheckedLock:
         self._registry = (registry if registry is not None
                           else current_registry())
         self._name = name or _creation_site()
+        self._key = next(_lock_keys)
         if self._registry is not None:
-            self._registry.register(id(self), self._name)
+            self._registry.register(self._key, self._name)
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         registry = self._registry
         if registry is not None:
-            registry.note_acquiring(id(self))
+            registry.note_acquiring(self._key)
         acquired = self._inner.acquire(blocking, timeout)  # type: ignore[attr-defined]
         if acquired and registry is not None:
-            registry.note_acquired(id(self))
+            registry.note_acquired(self._key)
         return acquired
 
     def release(self) -> None:
         if self._registry is not None:
-            self._registry.note_released(id(self))
+            self._registry.note_released(self._key)
         self._inner.release()  # type: ignore[attr-defined]
 
     def locked(self) -> bool:
@@ -322,23 +329,24 @@ class CheckedAsyncLock:
         self._registry = (registry if registry is not None
                           else current_registry())
         self._name = name or _creation_site()
+        self._key = next(_lock_keys)
         if self._registry is not None:
-            self._registry.register(id(self), self._name)
+            self._registry.register(self._key, self._name)
 
     async def acquire(self) -> bool:
         registry = self._registry
         if registry is not None:
             # Before the (potentially suspending) await, same as the
             # thread locks: a real deadlock still yields a report.
-            registry.note_acquiring(id(self))
+            registry.note_acquiring(self._key)
         acquired = await self._inner.acquire()
         if acquired and registry is not None:
-            registry.note_acquired(id(self))
+            registry.note_acquired(self._key)
         return acquired
 
     def release(self) -> None:
         if self._registry is not None:
-            self._registry.note_released(id(self))
+            self._registry.note_released(self._key)
         self._inner.release()
 
     def locked(self) -> bool:
@@ -384,7 +392,7 @@ class CheckedAsyncCondition:
     async def wait(self) -> bool:
         registry = self._lock._registry
         if registry is not None:
-            registry.note_released(id(self._lock))
+            registry.note_released(self._lock._key)
         try:
             return await self._inner.wait()
         finally:
@@ -392,7 +400,7 @@ class CheckedAsyncCondition:
             # returns (or raises CancelledError), so the bookkeeping must
             # mirror that on every path.
             if registry is not None:
-                registry.note_acquired(id(self._lock))
+                registry.note_acquired(self._lock._key)
 
     async def wait_for(self, predicate: "Any") -> "Any":
         result = predicate()

@@ -3,12 +3,11 @@
 This module backs the ``repro bench`` CLI (docs/performance.md).  It has
 two halves:
 
-* **Microbenchmarks** measuring the hot paths the admission fast path
-  optimizes: admission decisions/sec per policy (Bouncer with the fast
-  path on *and* off, so every result file records the speedup against the
-  naive baseline measured by the same harness), histogram record /
-  percentile throughput, and simulator events/sec (including a
-  cancellation-heavy workload that exercises the lazy heap compaction).
+* **Microbenchmarks** measuring the admission hot paths: decisions/sec
+  per policy (Bouncer, alone and with telemetry and spans attached,
+  against the MaxQL/MaxQWT baselines), histogram record / percentile
+  throughput, and simulator events/sec (including a cancellation-heavy
+  workload that exercises the lazy heap compaction).
 
 * **A parallel experiment runner** that fans seeded simulation
   configurations across cores with :mod:`multiprocessing`.  Each task is
@@ -155,9 +154,7 @@ def _decision_policies() -> Dict[str, Callable[[HostContext],
     slos = simulation_slos()
     return {
         "bouncer_fast": lambda ctx: BouncerPolicy(
-            ctx, BouncerConfig(slos=slos, fast_path=True)),
-        "bouncer_naive": lambda ctx: BouncerPolicy(
-            ctx, BouncerConfig(slos=slos, fast_path=False)),
+            ctx, BouncerConfig(slos=slos)),
         "maxql": lambda ctx: make_maxql(limit=400)(ctx),
         "maxqwt": lambda ctx: make_maxqwt(limit=0.015)(ctx),
     }
@@ -177,8 +174,7 @@ def _lifecycle_rate(iterations: int,
     queue = QueueView()
     ctx = HostContext(clock=clock, queue=queue,
                       parallelism=SIM_PARALLELISM)
-    policy = BouncerPolicy(ctx, BouncerConfig(slos=simulation_slos(),
-                                              fast_path=True))
+    policy = BouncerPolicy(ctx, BouncerConfig(slos=simulation_slos()))
     _warmed_policy(policy, queue, clock)
     telemetry = Telemetry(
         registry=MetricsRegistry(), tracer=DecisionTracer(),
@@ -217,7 +213,6 @@ def bench_decisions(iterations: int) -> Dict[str, Any]:
     """
     arrival_types = [name for name, _ in DECISION_QUEUE_FILL]
     results: Dict[str, float] = {}
-    counters: Dict[str, Dict[str, int]] = {}
     for name, factory in _decision_policies().items():
         clock = ManualClock(0.0)
         queue = QueueView()
@@ -233,15 +228,6 @@ def bench_decisions(iterations: int) -> Dict[str, Any]:
             decide(query)
         elapsed = time.perf_counter() - start
         results[name] = iterations / elapsed if elapsed > 0 else 0.0
-        fast_stats = getattr(policy, "fast_path_stats", None)
-        if fast_stats is not None:
-            counters[name] = {
-                "cache_hits": fast_stats.cache_hits,
-                "cache_misses": fast_stats.cache_misses,
-                "eq2_recomputes": fast_stats.eq2_recomputes,
-                "batch_calls": fast_stats.batch_calls,
-                "batch_queries": fast_stats.batch_queries,
-            }
     # Interleaved trios, four rounds: alternating the arms inside one
     # loop exposes all of them to the same scheduler/thermal noise.
     # Best-of (minimum time) per arm is the standard de-noised throughput
@@ -264,12 +250,7 @@ def bench_decisions(iterations: int) -> Dict[str, Any]:
     results["bouncer_fast_telemetry"] = plain_best
     results["bouncer_fast_spans"] = full_best
     payload: Dict[str, Any] = {"decisions_per_sec": results,
-                               "iterations": iterations,
-                               "fast_path_counters": counters}
-    naive = results.get("bouncer_naive", 0.0)
-    if naive > 0:
-        payload["bouncer_fast_vs_naive_speedup"] = (
-            results.get("bouncer_fast", 0.0) / naive)
+                               "iterations": iterations}
     if sampled_overhead is not None:
         payload["span_overhead_sampled"] = sampled_overhead
         payload["span_gate_sample_rate"] = SPAN_GATE_SAMPLE_RATE
@@ -278,15 +259,14 @@ def bench_decisions(iterations: int) -> Dict[str, Any]:
     return payload
 
 
-def _warmed_bouncer_fast() -> BouncerPolicy:
-    """A fresh fast-path Bouncer with the standard warmed state, used by
-    every arm of the batch sweep so the arms differ only in batching."""
+def _warmed_bouncer() -> BouncerPolicy:
+    """A fresh Bouncer with the standard warmed state, used by every arm
+    of the batch sweep so the arms differ only in batching."""
     clock = ManualClock(0.0)
     queue = QueueView()
     ctx = HostContext(clock=clock, queue=queue,
                       parallelism=SIM_PARALLELISM)
-    policy = BouncerPolicy(ctx, BouncerConfig(slos=simulation_slos(),
-                                              fast_path=True))
+    policy = BouncerPolicy(ctx, BouncerConfig(slos=simulation_slos()))
     _warmed_policy(policy, queue, clock)
     return policy
 
@@ -295,13 +275,12 @@ def bench_batch_decisions(iterations: int) -> Dict[str, Any]:
     """Batch admission throughput: ``decide_many`` at each burst size
     against the scalar ``decide`` loop.
 
-    Every arm gets its own warmed fast-path Bouncer with the identical
-    backlog and sees the identical arrival sequence, chunked into bursts
-    of its size; the clock is frozen during measurement.  No
-    ``on_decision`` callback is attached, so queue state stays stable
-    across a run (matching :func:`bench_decisions`) and the batch arms
-    measure the pure decision engine — the epoch-keyed reuse of wait and
-    percentile terms across a burst.
+    Every arm gets its own warmed Bouncer with the identical backlog and
+    sees the identical arrival sequence, chunked into bursts of its size;
+    the clock is frozen during measurement.  No ``on_decision`` callback
+    is attached, so queue state stays stable across a run (matching
+    :func:`bench_decisions`) and the batch arms measure the decision
+    engine plus the ``decide_many`` loop overhead.
     """
     arrival_types = [name for name, _ in DECISION_QUEUE_FILL]
     queries = [Query(qtype=arrival_types[i % len(arrival_types)])
@@ -323,18 +302,7 @@ def bench_batch_decisions(iterations: int) -> Dict[str, Any]:
         elapsed = time.perf_counter() - start
         return iterations / elapsed if elapsed > 0 else 0.0
 
-    def counter_snapshot(policy: BouncerPolicy) -> Dict[str, int]:
-        stats = policy.fast_path_stats
-        return {
-            "batch_calls": stats.batch_calls,
-            "batch_queries": stats.batch_queries,
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-            "eq2_recomputes": stats.eq2_recomputes,
-        }
-
     batch_rates: Dict[str, float] = {}
-    counters: Dict[str, Dict[str, int]] = {}
 
     # The gated batch-1 floor compares two arms that are near-identical by
     # design, so the measurement has to beat scheduler noise: interleave
@@ -344,10 +312,9 @@ def bench_batch_decisions(iterations: int) -> Dict[str, Any]:
     scalar_rate = 0.0
     batch1_ratio: Optional[float] = None
     for _ in range(4):
-        scalar = timed_pass(_warmed_bouncer_fast(), 0)
-        policy = _warmed_bouncer_fast()
+        scalar = timed_pass(_warmed_bouncer(), 0)
+        policy = _warmed_bouncer()
         batch1 = timed_pass(policy, 1)
-        counters["batch_1"] = counter_snapshot(policy)
         scalar_rate = max(scalar_rate, scalar)
         batch_rates["batch_1"] = max(batch_rates.get("batch_1", 0.0),
                                      batch1)
@@ -359,14 +326,12 @@ def bench_batch_decisions(iterations: int) -> Dict[str, Any]:
     for size in BATCH_SIZES:
         if size == 1:
             continue
-        policy = _warmed_bouncer_fast()
+        policy = _warmed_bouncer()
         batch_rates[f"batch_{size}"] = timed_pass(policy, size)
-        counters[f"batch_{size}"] = counter_snapshot(policy)
     payload: Dict[str, Any] = {
         "batch_decisions_per_sec": batch_rates,
         "scalar_decisions_per_sec": scalar_rate,
         "iterations": iterations,
-        "batch_fast_path_counters": counters,
     }
     if scalar_rate > 0:
         payload["batch64_vs_scalar_speedup"] = (
@@ -419,7 +384,7 @@ def check_batch_baseline(current: Dict[str, Any],
     document: the paired same-round ``batch1_vs_scalar_ratio`` must be
     at least :data:`BATCH1_SCALAR_FLOOR`, so the single-query
     ``decide_many`` path can never quietly regress against the scalar
-    fast path again.  (Older documents without the paired ratio fall
+    ``decide`` loop again.  (Older documents without the paired ratio fall
     back to the best-of rates, which are noisier across rounds.)
     """
     problems: List[str] = []
@@ -445,7 +410,7 @@ def check_batch_baseline(current: Dict[str, Any],
             ratio = batch1 / scalar
     if ratio is not None and ratio < BATCH1_SCALAR_FLOOR:
         problems.append(
-            f"batch_1: only {ratio:.0%} of the scalar fast path's "
+            f"batch_1: only {ratio:.0%} of the scalar decide loop's "
             f"throughput in the same round; floor "
             f"{BATCH1_SCALAR_FLOOR:.0%}")
     return problems
@@ -573,9 +538,6 @@ def _parallel_policy(name: str) -> Callable[[HostContext], AdmissionPolicy]:
     if name == "bouncer":
         return lambda ctx: BouncerPolicy(
             ctx, BouncerConfig(slos=simulation_slos()))
-    if name == "bouncer_naive":
-        return lambda ctx: BouncerPolicy(
-            ctx, BouncerConfig(slos=simulation_slos(), fast_path=False))
     if name == "maxql":
         return make_maxql(limit=400)
     if name == "maxqwt":
@@ -675,8 +637,7 @@ def write_results(document: Dict[str, Any], out_path: str,
         os.makedirs(results_dir, exist_ok=True)
         details = {
             "decisions": {k: document[k] for k in
-                          ("decisions_per_sec", "fast_path_counters",
-                           "bouncer_fast_vs_naive_speedup", "iterations",
+                          ("decisions_per_sec", "iterations",
                            "span_overhead_sampled",
                            "span_gate_sample_rate",
                            "span_overhead_full_sampling")
@@ -748,9 +709,6 @@ def render_summary(document: Dict[str, Any]) -> str:
     for name, rate in sorted(
             document.get("decisions_per_sec", {}).items()):
         lines.append(f"  {name:<16} {rate:>12,.0f}")
-    speedup = document.get("bouncer_fast_vs_naive_speedup")
-    if speedup is not None:
-        lines.append(f"  bouncer fast path speedup: {speedup:.2f}x")
     span_cost = document.get("span_overhead_sampled")
     if span_cost is not None:
         rate = document.get("span_gate_sample_rate", SPAN_GATE_SAMPLE_RATE)

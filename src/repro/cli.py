@@ -21,10 +21,10 @@ Ten commands:
   signed-error/APE/attainment tables plus the exclusive rejection
   attribution by Algorithm 1 term.
 * ``bench``    — run the performance microbenchmarks (decisions/sec per
-  policy including the Bouncer fast-path speedup, histogram and simulator
-  throughput) plus the parallel experiment runner, emitting machine-
-  readable JSON with an optional regression gate against a committed
-  baseline (see ``docs/performance.md``).
+  policy, histogram and simulator throughput) plus the parallel
+  experiment runner, emitting machine-readable JSON with an optional
+  regression gate against a committed baseline (see
+  ``docs/performance.md``).
 * ``gateway-bench`` — run the open-loop multi-process sharded-gateway
   benchmark (BENCH_03): N worker processes deciding admissions against
   shared-memory histogram snapshots, gated on the per-shard decision

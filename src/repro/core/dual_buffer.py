@@ -57,8 +57,8 @@ class DualBufferHistogram:
     """
 
     #: Records only become visible at the next publish, never immediately;
-    #: the Bouncer fast path uses this to decide whether a completion must
-    #: dirty its cached Eq. 2 state.
+    #: Bouncer uses this to decide whether a completion must drop the
+    #: memoized decision inputs that read this publisher.
     records_visible_immediately = False
 
     def __init__(self, clock: Clock, interval: float = DEFAULT_INTERVAL,
@@ -100,10 +100,9 @@ class DualBufferHistogram:
     def bootstrap_pending(self) -> bool:
         """True when the next touch would trigger a bootstrap publish.
 
-        Advisory and read without the lock (each attribute read is atomic;
-        a stale answer only delays a cache refresh by one call) — the
-        Bouncer fast path polls this after recording completions to know it
-        must keep touching the buffer until the bootstrap fires.
+        Read without the lock (each attribute read is atomic).  Bouncer
+        polls this after recording a completion: when it holds, the next
+        touch may publish, so its memoized view of this buffer is stale.
         """
         return bool(self._bootstrap_samples
                     and self._published.is_empty
@@ -192,9 +191,14 @@ class DualBufferHistogram:
             return
         self._publish_locked()
         # Skip whole intervals that elapsed with no activity so the next
-        # boundary is in the future relative to ``now``.
+        # boundary is in the future relative to ``now``.  The division can
+        # round down and land the boundary exactly on ``now``; step once
+        # more then, or the next touch at this same instant would swap
+        # again and publishing would depend on how often it is touched.
         intervals_behind = int((now - self._next_swap) / self._interval) + 1
         self._next_swap += intervals_behind * self._interval
+        while self._next_swap <= now:
+            self._next_swap += self._interval
 
     def _publish_locked(self) -> None:
         self._swaps += 1
@@ -228,8 +232,8 @@ class SlidingWindowHistogram:
     """
 
     #: Records land in the current slice and are visible on the very next
-    #: merge — the Bouncer fast path must treat any completion as
-    #: invalidating cached Eq. 2 state for this publisher.
+    #: merge — Bouncer must treat any completion as invalidating its
+    #: memoized view of this publisher.
     records_visible_immediately = True
 
     def __init__(self, clock: Clock, window: float = 10.0, step: float = 1.0,
@@ -297,12 +301,20 @@ class SlidingWindowHistogram:
             return snap
 
     def _advance_locked(self) -> bool:
-        """Rotate slices up to ``now``; True when any rotation happened."""
+        """Rotate slices up to ``now``; True when any rotation happened.
+
+        Rotation happens exactly when ``now`` reaches
+        :meth:`next_publish_due` (the same float expression), and leaves
+        the next rotation after ``now``, so a reader may trust that no
+        touch before that instant changes the view.
+        """
         now = self._clock.now()
         current_start = self._slice_starts[self._current]
-        steps_behind = int((now - current_start) / self._step)
-        if steps_behind <= 0:
+        if now < current_start + self._step:
             return False
+        steps_behind = max(1, int((now - current_start) / self._step))
+        while current_start + steps_behind * self._step + self._step <= now:
+            steps_behind += 1
         # Rotate forward, clearing the slices we move into.  Cap the loop at
         # one full rotation: anything older is cleared anyway.
         for offset in range(1, min(steps_behind, self._num_slices) + 1):

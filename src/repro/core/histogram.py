@@ -24,16 +24,6 @@ from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
-from ._compat import numpy as _np
-
-#: Minimum number of percentile targets before the numpy ``searchsorted``
-#: path beats a per-target ``bisect_left`` on the cached cumulative list.
-#: Measured on the default 471-bucket layout: one vectorized call carries
-#: ~3.5us of fixed overhead (target-list conversion + dispatch) against
-#: ~0.7us per bisect, so the crossover sits near six targets.  Below the
-#: threshold the pure-python path is both faster and the one the scalar
-#: admission hot path (two SLO percentiles) already exercises.
-NUMPY_MIN_TARGETS = 6
 
 #: Fixed-size header of the binary snapshot wire form: the three layout
 #: parameters (bucket edges are derived, not shipped), the publish epoch,
@@ -137,13 +127,12 @@ class HistogramSnapshot:
     sliding-window publishers increment it every time a *new* view is
     published (swap, bootstrap, preload, window rebuild).  Two snapshots
     from the same publisher with the same epoch are the same object, so
-    consumers (:class:`repro.core.bouncer.BouncerPolicy`) can memoize
-    derived statistics keyed on the epoch instead of re-walking buckets.
+    consumers can tell published views apart without comparing buckets.
     Snapshots created outside a publisher default to epoch 0.
     """
 
     __slots__ = ("_layout", "_counts", "count", "_sum", "epoch",
-                 "_cumulative", "_cumulative_arr")
+                 "_cumulative")
 
     def __init__(self, layout: BucketLayout, counts: Sequence[int],
                  total: int, value_sum: float, epoch: int = 0) -> None:
@@ -153,7 +142,6 @@ class HistogramSnapshot:
         self._sum = float(value_sum)
         self.epoch = int(epoch)
         self._cumulative: Optional[List[int]] = None
-        self._cumulative_arr: Optional[object] = None
 
     def _cum(self) -> List[int]:
         """Cumulative bucket counts, built lazily on first percentile query.
@@ -167,24 +155,6 @@ class HistogramSnapshot:
             cum = list(accumulate(self._counts))
             self._cumulative = cum
         return cum
-
-    def cumulative_array(self) -> object:
-        """numpy int64 view of the cumulative counts, cached per snapshot.
-
-        Snapshot immutability makes this effectively epoch-keyed: a
-        publisher bumps the epoch only by publishing a *new* snapshot
-        object, so holding a snapshot is holding its bucket arrays — no
-        separate invalidation token is needed on top of the PR-5 epoch
-        scheme.  Raises when numpy is unavailable; callers must branch on
-        :func:`repro.core._compat.have_numpy` (or the module's ``_np``).
-        """
-        if _np is None:
-            raise RuntimeError("numpy is not available in this process")
-        arr = self._cumulative_arr
-        if arr is None:
-            arr = _np.asarray(self._cum(), dtype=_np.int64)
-            self._cumulative_arr = arr
-        return arr
 
     @property
     def is_empty(self) -> bool:
@@ -227,18 +197,7 @@ class HistogramSnapshot:
         stopped at — and the in-bucket interpolation reuses the same
         arithmetic, so results are bit-identical to the scan they replace.
         """
-        return self._value_at(bisect_left(cum, target), target)
-
-    def _value_at(self, idx: int, target: float) -> float:
-        """Interpolated value for rank ``target`` landing in bucket ``idx``.
-
-        Shared by the bisect and numpy lookup paths so both produce the
-        same float arithmetic: ``searchsorted(side='left')`` returns the
-        same index as ``bisect_left`` (int64 cumulative counts compare
-        exactly against float targets below 2**53), and the in-bucket
-        interpolation is this one expression either way.
-        """
-        cum = self._cum()
+        idx = bisect_left(cum, target)
         if idx >= len(cum):
             # Rounding pushed the target past the total; return the top edge.
             return self._layout.upper_bound(len(self._counts) - 1)
@@ -250,29 +209,17 @@ class HistogramSnapshot:
         return lower + (upper - lower) * fraction
 
     def percentiles(self, ps: Iterable[float]) -> List[float]:
-        """Vectorized :meth:`percentile` (one binary search per target).
-
-        With numpy present and enough targets to amortize the dispatch
-        overhead (:data:`NUMPY_MIN_TARGETS`), all ranks are located with a
-        single ``searchsorted`` over the cached cumulative array; otherwise
-        each rank is a ``bisect_left`` on the cached cumulative list.  The
-        two paths are bit-identical (``tests/test_numpy_fallback.py``).
-        """
+        """Vectorized :meth:`percentile` over sorted, de-duplicated
+        targets (one binary search each on the cached cumulative list)."""
         wanted = sorted(set(float(p) for p in ps))
         for p in wanted:
             if not 0 < p <= 100:
                 raise ValueError(f"percentile must be in (0, 100], got {p}")
         if self.count == 0:
             return [0.0 for _ in wanted]
-        targets = [p / 100.0 * self.count for p in wanted]
-        if _np is not None and len(targets) >= NUMPY_MIN_TARGETS:
-            indexes = _np.searchsorted(self.cumulative_array(), targets,
-                                       side="left")
-            return [self._value_at(int(idx), target)
-                    for idx, target in zip(indexes, targets)]
         cum = self._cum()
-        return [self._value_at(bisect_left(cum, target), target)
-                for target in targets]
+        return [self._rank_value(p / 100.0 * self.count, cum)
+                for p in wanted]
 
     def to_dict(self) -> dict:
         """JSON-serializable form (sparse bucket counts).
@@ -342,23 +289,53 @@ class HistogramSnapshot:
         expected ``layout`` skips re-deriving the bucket geometry and
         guarantees the decoded snapshot shares the reader's layout object
         (merge/preload compatibility checks then compare identical
-        floats).
+        floats).  Like :meth:`from_dict`, a malformed record raises
+        :class:`ConfigurationError`: a buffer too short for the header or
+        the bucket array, an invalid layout, a negative bucket count, or a
+        header count that disagrees with the bucket sum.
         """
+        if offset < 0 or len(buf) - offset < SNAPSHOT_WIRE_HEADER.size:
+            raise ConfigurationError(
+                f"snapshot record at offset {offset} is shorter than its "
+                f"{SNAPSHOT_WIRE_HEADER.size}-byte header")
         (min_value, max_value, growth, epoch, total, value_sum,
          num_buckets) = SNAPSHOT_WIRE_HEADER.unpack_from(buf, offset)
+        start = offset + SNAPSHOT_WIRE_HEADER.size
+        end = start + num_buckets * 8
+        if num_buckets < 1 or end > len(buf):
+            raise ConfigurationError(
+                f"snapshot record claims {num_buckets} buckets but "
+                f"{len(buf) - start} bytes remain after its header")
         if layout is None or (layout.min_value != min_value
                               or layout.max_value != max_value
                               or layout.growth != growth):
+            # Check the geometry's bucket count before building its edges,
+            # so a corrupt header cannot demand an enormous layout.
+            if not (math.isfinite(max_value) and 0 < min_value < max_value
+                    and 1.0 < growth < math.inf):
+                raise ConfigurationError(
+                    "snapshot header carries an invalid bucket layout")
+            expected = int(math.ceil((math.log(max_value)
+                                      - math.log(min_value))
+                                     / math.log(growth))) + 1
+            if expected != num_buckets:
+                raise ConfigurationError(
+                    f"snapshot carries {num_buckets} buckets but its "
+                    f"layout defines {expected}")
             layout = BucketLayout(min_value=min_value, max_value=max_value,
                                   growth=growth)
         if num_buckets != layout.num_buckets:
             raise ConfigurationError(
                 f"snapshot carries {num_buckets} buckets but its layout "
                 f"defines {layout.num_buckets}")
-        start = offset + SNAPSHOT_WIRE_HEADER.size
-        end = start + num_buckets * 8
         counts = array("q")
         counts.frombytes(bytes(buf[start:end]))
+        if min(counts) < 0:
+            raise ConfigurationError("snapshot carries a negative count")
+        if total != sum(counts):
+            raise ConfigurationError(
+                f"snapshot count {total} does not match bucket sum "
+                f"{sum(counts)}")
         return (cls(layout, counts, int(total), float(value_sum),
                     epoch=int(epoch)), end)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .types import AdmissionResult, Query, RejectReason
 
@@ -68,29 +68,17 @@ class PolicyStats:
     def record(self, qtype: str, result: AdmissionResult) -> None:
         """Tally one admission outcome for ``qtype``."""
         with self._lock:
-            self._record_locked(qtype, result)
-
-    def record_many(self,
-                    outcomes: Iterable[Tuple[str, AdmissionResult]]) -> None:
-        """Tally a burst of outcomes under a single lock acquisition.
-
-        Order-insensitive (counters only), so batching the lock cannot be
-        observed by readers beyond seeing the tallies land together.
-        """
-        with self._lock:
-            for qtype, result in outcomes:
-                self._record_locked(qtype, result)
-
-    def _record_locked(self, qtype: str, result: AdmissionResult) -> None:
-        counters = self._per_type.setdefault(qtype, TypeCounters())
-        if result.accepted:
-            counters.accepted += 1
-        else:
-            counters.rejected += 1
-            if result.reason is not None:
-                by_reason = counters.rejected_by_reason
-                by_reason[result.reason] = (
-                    by_reason.get(result.reason, 0) + 1)
+            counters = self._per_type.get(qtype)
+            if counters is None:
+                counters = self._per_type[qtype] = TypeCounters()
+            if result.accepted:
+                counters.accepted += 1
+            else:
+                counters.rejected += 1
+                if result.reason is not None:
+                    by_reason = counters.rejected_by_reason
+                    by_reason[result.reason] = (
+                        by_reason.get(result.reason, 0) + 1)
 
     def for_type(self, qtype: str) -> TypeCounters:
         """Counters for one type (zeros when never seen)."""
@@ -157,15 +145,26 @@ class AdmissionPolicy(abc.ABC):
         that enqueues an accepted query changes the state later decisions
         observe — exactly as sequential arrivals would.
 
-        This default implementation *is* that scalar loop, which makes it
-        correct by construction for every policy (baselines, starvation
-        and advisor wrappers).  Policies with batch-friendly structure
-        (Bouncer) override it with a vectorized path that preserves the
-        contract; ``tests/test_batch_differential.py`` holds them to it.
+        This implementation *is* that scalar loop (with :meth:`decide`'s
+        two steps inlined), which makes it correct by construction for
+        every policy (Bouncer, baselines, starvation and advisor
+        wrappers); ``tests/test_batch_differential.py`` holds them to it.
         """
+        if len(queries) == 1:
+            # A burst of one skips the loop machinery, which would cost
+            # ~10% of a decision (BENCH_02 gates batch_1 >= 0.90x scalar).
+            query = queries[0]
+            result = self._decide(query)
+            self.stats.record(query.qtype, result)
+            if on_decision is not None:
+                on_decision(query, result)
+            return [result]
         results: List[AdmissionResult] = []
+        decide = self._decide
+        record = self.stats.record
         for query in queries:
-            result = self.decide(query)
+            result = decide(query)
+            record(query.qtype, result)
             results.append(result)
             if on_decision is not None:
                 on_decision(query, result)
@@ -228,29 +227,16 @@ class QueueView:
     # the lockcheck instrumentation (repro.analysis.lockcheck.install) also
     # covers views created after install(), not just after this import.
     _lock: threading.Lock = field(default_factory=lambda: threading.Lock())
-    # Occupancy-change listeners (see :meth:`subscribe`).
-    _listeners: List[Callable[[str, int], None]] = field(default_factory=list)
-
-    def subscribe(self, listener: Callable[[str, int], None]) -> None:
-        """Register ``listener(qtype, delta)`` for occupancy changes.
-
-        ``delta`` is ``+1`` on enqueue and ``-1`` on dequeue.  Listeners
-        are invoked *after* the view's lock is released so a listener may
-        take its own locks without creating a view-lock -> listener-lock
-        ordering edge (Bouncer's incremental Eq. 2 state depends on this;
-        see docs/performance.md).  Consequently, under concurrent callers
-        deliveries can arrive out of order relative to the count updates —
-        listeners must tolerate transient disagreement with
-        :meth:`occupancy` and resynchronize on their own.
-        """
-        self._listeners.append(listener)
+    #: Bumped under the lock on every enqueue and dequeue, so a reader
+    #: that saw the same version knows the counts are unchanged (Bouncer
+    #: memoizes its Eq. 2 sum on it).
+    version: int = 0
 
     def on_enqueue(self, qtype: str) -> None:
         with self._lock:
             self.counts[qtype] = self.counts.get(qtype, 0) + 1
             self._length += 1
-        for listener in self._listeners:
-            listener(qtype, 1)
+            self.version += 1
 
     def on_dequeue(self, qtype: str) -> None:
         with self._lock:
@@ -260,8 +246,7 @@ class QueueView:
             else:
                 self.counts.pop(qtype, None)
             self._length -= 1
-        for listener in self._listeners:
-            listener(qtype, -1)
+            self.version += 1
 
     def count_for(self, qtype: str) -> int:
         """Number of queued queries of ``qtype``."""

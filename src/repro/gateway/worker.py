@@ -65,8 +65,6 @@ class PolicySpec:
     min_samples: int = 1
     retain_min_samples: int = 1
     bootstrap_samples: int = 0
-    fast_path: bool = True
-    debug_check: bool = False
 
     def build(self) -> Tuple[BouncerPolicy, QueueView, ManualClock]:
         """Construct the policy (frozen clock, static queue fill)."""
@@ -81,8 +79,7 @@ class PolicySpec:
         policy = BouncerPolicy(ctx, BouncerConfig(
             slos=registry, min_samples=self.min_samples,
             retain_min_samples=self.retain_min_samples,
-            bootstrap_samples=self.bootstrap_samples,
-            fast_path=self.fast_path, debug_check=self.debug_check))
+            bootstrap_samples=self.bootstrap_samples))
         # Deterministic fill order: sorted by type, then sequential.
         for qtype in sorted(self.queue_fill):
             for _ in range(int(self.queue_fill[qtype])):

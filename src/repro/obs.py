@@ -130,27 +130,5 @@ def render_metrics(policy: AdmissionPolicy,
                     snapshot.percentile(percentile)))
         lines.append(_line("estimated_wait_seconds", {},
                            inner.estimate_wait_mean()))
-        fast = inner.fast_path_stats
-        lines.append(f"# HELP {_PREFIX}_estimator_cache_hits Fast-path "
-                     f"estimator cache hits (epoch-keyed snapshot stats).")
-        lines.append(f"# TYPE {_PREFIX}_estimator_cache_hits counter")
-        lines.append(_line("estimator_cache_hits", {}, fast.cache_hits))
-        lines.append(f"# HELP {_PREFIX}_estimator_cache_misses Fast-path "
-                     f"estimator cache misses (new publish epoch).")
-        lines.append(f"# TYPE {_PREFIX}_estimator_cache_misses counter")
-        lines.append(_line("estimator_cache_misses", {},
-                           fast.cache_misses))
-        lines.append(f"# HELP {_PREFIX}_eq2_recomputes Full recomputes of "
-                     f"the incremental Eq. 2 term table.")
-        lines.append(f"# TYPE {_PREFIX}_eq2_recomputes counter")
-        lines.append(_line("eq2_recomputes", {}, fast.eq2_recomputes))
-        lines.append(f"# HELP {_PREFIX}_batch_calls decide_many "
-                     f"invocations (batched admission).")
-        lines.append(f"# TYPE {_PREFIX}_batch_calls counter")
-        lines.append(_line("batch_calls", {}, fast.batch_calls))
-        lines.append(f"# HELP {_PREFIX}_batch_queries Queries decided "
-                     f"through decide_many batches.")
-        lines.append(f"# TYPE {_PREFIX}_batch_queries counter")
-        lines.append(_line("batch_queries", {}, fast.batch_queries))
 
     return "\n".join(lines) + "\n"

@@ -188,25 +188,11 @@ class Telemetry:
             "bouncer_ert_seconds",
             "Bouncer's latest percentile response-time estimates "
             "(Eqs. 3-4), by type and quantile.")
-        self._cache_hits = reg.counter(
-            "estimator_cache_hits",
-            "Bouncer fast-path estimator cache hits (epoch-keyed "
-            "snapshot-stat memo; see docs/performance.md).")
-        self._cache_misses = reg.counter(
-            "estimator_cache_misses",
-            "Bouncer fast-path estimator cache misses (a snapshot's "
-            "derived stats were computed for a new publish epoch).")
-        self._eq2_recomputes = reg.counter(
-            "eq2_recomputes",
-            "Full recomputes of Bouncer's incremental Eq. 2 term table "
-            "(publish boundaries, bootstrap publishes, resyncs).")
         self._calibration_gauge = reg.gauge(
             "estimator_calibration",
             "Estimator calibration stats: rolling mean signed error and "
             "APE per estimator term, and rolling SLO attainment, by type "
             "(synced at render time).")
-        # Last-synced FastPathStats per policy, for delta accounting.
-        self._fast_seen: dict = {}
 
     def scoped(self, host: str) -> "Telemetry":
         """A view onto the same registry/tracer/spans/calibration under
@@ -295,8 +281,6 @@ class Telemetry:
                 self._ert_gauge.labels(host=self.host, qtype=qtype,
                                        quantile=f"{percentile:g}"
                                        ).set(value)
-        if policy is not None:
-            self.record_fast_path(policy)
         tracer = self.tracer
         calibration = self.calibration
         query_id = query.query_id
@@ -312,13 +296,15 @@ class Telemetry:
         slo_map: dict = {}
         bouncer = _unwrap_bouncer(policy)
         if bouncer is not None:
-            ewt_mean = bouncer.estimate_wait_mean()
+            # The policy's own memo answers, so the cold flag and SLO are
+            # the ones the decision used.
+            estimate = bouncer.estimate(qtype)
+            ewt_mean = estimate.wait_mean
             self._ewt_gauge.labels(host=self.host).set(ewt_mean)
-            snap = bouncer.processing_snapshot(qtype)
-            cold = snap.count < bouncer.config.min_samples
-            slo = (bouncer.slos.default if cold
-                   else bouncer.slos.for_type(qtype))
-            slo_map = {f"{p:g}": target for p, target in slo.items()}
+            cold = estimate.cold_start
+            if estimate.slo is not None:
+                slo_map = {f"{p:g}": target
+                           for p, target in estimate.slo.items()}
         ert_map = {f"{p:g}": v for p, v in result.estimates.items()}
         if trace_this:
             event = TraceEvent(
@@ -331,11 +317,6 @@ class Telemetry:
                 event.ewt_mean = ewt_mean
                 event.cold_start = cold
                 event.slo = slo_map
-                stats = bouncer.fast_path_stats
-                event.fast_path = {
-                    "estimator_cache_hits": stats.cache_hits,
-                    "estimator_cache_misses": stats.cache_misses,
-                    "eq2_recomputes": stats.eq2_recomputes}
             tracer.record(event)
         if calibrate_this:
             calibration.note_decision(
@@ -343,28 +324,6 @@ class Telemetry:
                 reason=result.reason.value if result.reason else None,
                 ewt_mean=ewt_mean, ert=ert_map, slo=slo_map)
         self._span_decision(query, result, now)
-
-    def record_fast_path(self, policy: AdmissionPolicy) -> None:
-        """Sync a Bouncer's :class:`~repro.core.bouncer.FastPathStats`
-        into the estimator counters (delta-based; safe to call often)."""
-        bouncer = _unwrap_bouncer(policy)
-        if bouncer is None:
-            return
-        stats = bouncer.fast_path_stats
-        hits = stats.cache_hits
-        misses = stats.cache_misses
-        recomputes = stats.eq2_recomputes
-        seen = self._fast_seen.get(id(bouncer), (0, 0, 0))
-        if (hits, misses, recomputes) == seen:
-            return
-        self._fast_seen[id(bouncer)] = (hits, misses, recomputes)
-        if hits > seen[0]:
-            self._cache_hits.labels(host=self.host).inc(hits - seen[0])
-        if misses > seen[1]:
-            self._cache_misses.labels(host=self.host).inc(misses - seen[1])
-        if recomputes > seen[2]:
-            self._eq2_recomputes.labels(host=self.host).inc(
-                recomputes - seen[2])
 
     def on_dequeue(self, query: Query, now: float,
                    defer: Optional[TelemetryBatch] = None) -> None:

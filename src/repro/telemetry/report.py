@@ -71,11 +71,6 @@ class TraceSummary:
     events: int
     hosts: List[str]
     span: float  # seconds between first and last event timestamp
-    #: Latest admission fast-path counter snapshot seen in a decision
-    #: event ({"estimator_cache_hits": ..., "estimator_cache_misses":
-    #: ..., "eq2_recomputes": ...}); empty when the trace predates the
-    #: counters or the host ran without the fast path.
-    fast_path: Dict[str, int] = field(default_factory=dict)
 
     def totals(self) -> TypeTraceSummary:
         total = TypeTraceSummary(qtype="ALL")
@@ -97,8 +92,6 @@ def summarize_events(events: Sequence[TraceEvent]) -> TraceSummary:
     hosts: List[str] = []
     first_ts: Optional[float] = None
     last_ts: Optional[float] = None
-    fast_path: Dict[str, int] = {}
-    fast_path_ts: Optional[float] = None
 
     def entry(qtype: str) -> TypeTraceSummary:
         summary = per_type.get(qtype)
@@ -125,11 +118,6 @@ def summarize_events(events: Sequence[TraceEvent]) -> TraceSummary:
                     summary.rejected_by_reason.get(reason, 0) + 1)
             if event.slo:
                 summary.slo = dict(event.slo)
-            if event.fast_path and (fast_path_ts is None
-                                    or event.ts >= fast_path_ts):
-                # Counters are cumulative snapshots; keep the newest.
-                fast_path = dict(event.fast_path)
-                fast_path_ts = event.ts
         elif event.event == "completion":
             if event.response_time is not None:
                 summary.response_times.append(event.response_time)
@@ -140,7 +128,7 @@ def summarize_events(events: Sequence[TraceEvent]) -> TraceSummary:
     span = ((last_ts - first_ts)
             if first_ts is not None and last_ts is not None else 0.0)
     return TraceSummary(per_type=per_type, events=len(events),
-                        hosts=hosts, span=span, fast_path=fast_path)
+                        hosts=hosts, span=span)
 
 
 def summarize_trace(path: str) -> TraceSummary:
@@ -226,17 +214,4 @@ def render_trace_report(summary: TraceSummary) -> str:
         title="SLO attainment (measured response times of traced "
               "completions vs targets recorded at decision time)"))
 
-    # -- admission fast path ----------------------------------------------
-    if summary.fast_path:
-        hits = summary.fast_path.get("estimator_cache_hits", 0)
-        misses = summary.fast_path.get("estimator_cache_misses", 0)
-        recomputes = summary.fast_path.get("eq2_recomputes", 0)
-        lookups = hits + misses
-        hit_rate = f"{hits / lookups:.1%}" if lookups else "-"
-        sections.append(format_table(
-            ["estimator_cache_hits", "estimator_cache_misses",
-             "hit rate", "eq2_recomputes"],
-            [[hits, misses, hit_rate, recomputes]],
-            title="Admission fast path (cumulative counters at the last "
-                  "traced decision)"))
     return "\n\n".join(sections)

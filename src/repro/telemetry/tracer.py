@@ -64,9 +64,6 @@ class TraceEvent:
     wait_time: Optional[float] = None
     processing_time: Optional[float] = None
     response_time: Optional[float] = None
-    #: Cumulative estimator fast-path counters at decision time
-    #: (``estimator_cache_hits``/``misses``, ``eq2_recomputes``).
-    fast_path: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Compact dict form: ``None`` and empty-mapping fields omitted."""
@@ -83,8 +80,6 @@ class TraceEvent:
             out["ert"] = self.ert
         if self.slo:
             out["slo"] = self.slo
-        if self.fast_path:
-            out["fast_path"] = self.fast_path
         return out
 
     def to_json(self) -> str:
@@ -104,8 +99,7 @@ class TraceEvent:
             cold_start=data.get("cold_start"),
             wait_time=data.get("wait_time"),
             processing_time=data.get("processing_time"),
-            response_time=data.get("response_time"),
-            fast_path=dict(data.get("fast_path", {})))
+            response_time=data.get("response_time"))
 
 
 class DecisionTracer:

@@ -10,9 +10,9 @@ bursts with and without a host-style enqueue callback) for Bouncer in
 every histogram mode *and* every baseline/wrapper policy.
 
 Also here: the batch arm of the Figure 6 differential guard (a batched
-simulation run against the seed scalar run), the empty-batch and
-snapshot-epoch-boundary memo regressions, and the runtime host's
-``submit_many`` (including per-query fail-open).
+simulation run against the seed scalar run, and against the naive
+oracle), the empty-batch and snapshot-epoch-boundary memo regressions,
+and the runtime host's ``submit_many`` (including per-query fail-open).
 """
 
 import random
@@ -31,29 +31,30 @@ from repro.core.baselines.queue_cap import QueueLimitWrapper
 from repro.core.policy import AlwaysAcceptPolicy, AlwaysRejectPolicy
 from repro.core.starvation import (AcceptanceAllowancePolicy,
                                    HelpingTheUnderservedPolicy)
+from repro.core.dual_buffer import DualBufferHistogram
 from repro.core.types import Query
+from tests.bouncer_oracle import OracleBouncer
 
 SLO = LatencySLO.from_ms(p50=18, p90=50)
 TYPES = ("fast", "slow", "bulk")
 
 
-def _bouncer_factory(**config):
+def _bouncer_factory(policy_class=BouncerPolicy, **config):
     def make(ctx):
         registry = SLORegistry.uniform(SLO, TYPES)
         defaults = dict(min_samples=1, retain_min_samples=1,
                         bootstrap_samples=0)
         defaults.update(config)
-        return BouncerPolicy(ctx, BouncerConfig(slos=registry, **defaults))
+        return policy_class(ctx, BouncerConfig(slos=registry, **defaults))
     return make
 
 
-#: Every policy held to the batch contract.  Bouncer's fast path carries
-#: ``debug_check`` so it additionally self-verifies Eq. 2 per decision;
+#: Every policy held to the batch contract, the naive oracle included;
 #: policies with internal randomness get fixed seeds so the scalar and
 #: batch worlds draw identical streams.
 POLICY_FACTORIES = {
-    "bouncer_fast": _bouncer_factory(fast_path=True, debug_check=True),
-    "bouncer_naive": _bouncer_factory(fast_path=False),
+    "bouncer_fast": _bouncer_factory(),
+    "bouncer_naive": _bouncer_factory(OracleBouncer),
     "bouncer_sliding": _bouncer_factory(
         histogram_mode=HISTOGRAMS_SLIDING_WINDOW, histogram_window=3.0,
         min_samples=2),
@@ -61,12 +62,12 @@ POLICY_FACTORIES = {
     "maxqwt": lambda ctx: MaxQueueWaitTimePolicy(ctx, limit=0.01),
     "accept_fraction": lambda ctx: AcceptFractionPolicy(ctx, seed=7),
     "queue_cap": lambda ctx: QueueLimitWrapper(
-        _bouncer_factory(fast_path=True)(ctx), ctx, limit=4),
+        _bouncer_factory()(ctx), ctx, limit=4),
     "starvation_aa": lambda ctx: AcceptanceAllowancePolicy(
-        _bouncer_factory(fast_path=True)(ctx), ctx.clock, allowance=0.4,
+        _bouncer_factory()(ctx), ctx.clock, allowance=0.4,
         window=4.0, step=1.0, seed=13),
     "starvation_hu": lambda ctx: HelpingTheUnderservedPolicy(
-        _bouncer_factory(fast_path=True)(ctx), ctx.clock, alpha=1.0,
+        _bouncer_factory()(ctx), ctx.clock, alpha=1.0,
         window=4.0, step=1.0, qtypes=TYPES, seed=13),
     "always_accept": lambda ctx: AlwaysAcceptPolicy(),
     "always_reject": lambda ctx: AlwaysRejectPolicy(),
@@ -229,15 +230,15 @@ class TestBatchMemoRegressions:
             world.policy.on_enqueued(Query(qtype="fast"))
         return worlds
 
-    def test_empty_batch_returns_empty_and_touches_nothing(self):
+    def test_empty_batch_returns_empty_and_touches_nothing(
+            self, monkeypatch):
         world, _ = self._warmed_pair()
-        world.policy.decide(Query(qtype="fast"))  # prime the caches
-        before = world.policy.fast_path_stats
-        calls, misses = before.batch_calls, before.cache_misses
+        world.policy.decide(Query(qtype="fast"))  # prime the memo
+        touches = []
+        monkeypatch.setattr(DualBufferHistogram, "snapshot",
+                            lambda hist: touches.append(hist))
         assert world.policy.decide_many([]) == []
-        after = world.policy.fast_path_stats
-        assert after.batch_calls == calls      # not counted as a batch
-        assert after.cache_misses == misses    # no snapshot/memo touch
+        assert touches == []                   # no snapshot touch
         assert world.policy.stats.totals().received == 1
 
     def test_empty_batch_then_decisions_still_identical(self):
@@ -278,15 +279,18 @@ class TestFig06BatchArm:
     """The batch arm of the Figure 6 differential guard: a batched
     simulation run must be bit-identical to the seed scalar run."""
 
-    def _run(self, burst, batched, fast_path):
-        from repro.bench.experiments import make_bouncer, simulation_mix
+    def _run(self, burst, batched, oracle=False):
+        from repro.bench.experiments import (make_bouncer, simulation_mix,
+                                             simulation_slos)
         from repro.sim.driver import run_simulation
 
         seq = []
-        overrides = (dict(fast_path=True, debug_check=True) if fast_path
-                     else dict(fast_path=False))
+        factory = make_bouncer()
+        if oracle:
+            slos = simulation_slos()
+            factory = lambda ctx: OracleBouncer(ctx, BouncerConfig(slos=slos))
         report = run_simulation(
-            simulation_mix(), make_bouncer(**overrides), rate_qps=4000.0,
+            simulation_mix(), factory, rate_qps=4000.0,
             num_queries=2500, parallelism=100, warmup_queries=1000,
             seed=11, burst=burst, batched_admission=batched,
             attainment_threshold=0.05,
@@ -297,10 +301,8 @@ class TestFig06BatchArm:
 
     @pytest.mark.parametrize("burst", [8, 64])
     def test_batched_run_bit_identical_to_scalar_run(self, burst):
-        scalar_seq, scalar_report = self._run(burst, batched=False,
-                                              fast_path=True)
-        batch_seq, batch_report = self._run(burst, batched=True,
-                                            fast_path=True)
+        scalar_seq, scalar_report = self._run(burst, batched=False)
+        batch_seq, batch_report = self._run(burst, batched=True)
         assert len(scalar_seq) > 0
         assert scalar_seq == batch_seq
         assert scalar_report.attainment == batch_report.attainment
@@ -308,9 +310,8 @@ class TestFig06BatchArm:
             batch_report.overall.response
 
     def test_batched_fast_matches_batched_naive(self):
-        fast_seq, fast_report = self._run(8, batched=True, fast_path=True)
-        naive_seq, naive_report = self._run(8, batched=True,
-                                            fast_path=False)
+        fast_seq, fast_report = self._run(8, batched=True)
+        naive_seq, naive_report = self._run(8, batched=True, oracle=True)
         assert fast_seq == naive_seq
         assert fast_report.attainment == naive_report.attainment
 
@@ -330,7 +331,7 @@ class TestRuntimeSubmitMany:
         def factory(ctx):
             return BouncerPolicy(ctx, BouncerConfig(
                 slos=registry, min_samples=1, retain_min_samples=1,
-                bootstrap_samples=0, fast_path=True, debug_check=True))
+                bootstrap_samples=0))
 
         qtypes = ["fast", "slow", "fast", "bulk"]
         with self._make_server(factory) as server:

@@ -10,11 +10,15 @@ test advances the clock and assertions can be exact — no wall-clock
 sleeps, no tolerance bands, no flakiness on slow CI machines.
 """
 
+import random
+import sys
 import threading
 
-from repro.core import (DualBufferHistogram, ManualClock, PolicyStats,
-                        QueueView, SlidingWindowCounts, SlidingWindowStats)
-from repro.core.types import AdmissionResult, RejectReason
+from repro.core import (BouncerConfig, BouncerPolicy, DualBufferHistogram,
+                        HostContext, LatencySLO, ManualClock, PolicyStats,
+                        QueueView, SlidingWindowCounts, SlidingWindowStats,
+                        SLORegistry)
+from repro.core.types import AdmissionResult, Query, RejectReason
 
 
 def run_threads(worker, count=8):
@@ -181,3 +185,57 @@ class TestPolicyStatsConcurrency:
         assert totals.received == 16000
         assert totals.rejected == totals.rejected_by_reason[
             RejectReason.CAPACITY]
+
+
+class TestBouncerMemoConcurrency:
+    def test_wait_memo_matches_final_queue(self):
+        # Threads churn the queue and decide concurrently.  Bouncer keys
+        # its memoized Eq. 2 sum on the queue version; a sum stored under
+        # a newer version than the counts it summed (a lost update) would
+        # survive the churn and disagree with the final queue below.
+        types = ("fast", "slow", "bulk")
+        clock = ManualClock()
+        queue = QueueView()
+        ctx = HostContext(clock=clock, queue=queue, parallelism=4)
+        policy = BouncerPolicy(ctx, BouncerConfig(
+            slos=SLORegistry.uniform(LatencySLO.from_ms(p50=18, p90=50),
+                                     types),
+            min_samples=1, retain_min_samples=1, bootstrap_samples=0))
+        for scale, qtype in enumerate(types, start=1):
+            for _ in range(20):
+                policy.on_completed(Query(qtype=qtype), 0.0, 0.002 * scale)
+        clock.advance(1.0)
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            mine = []
+            try:
+                for _ in range(1500):
+                    qtype = rng.choice(types)
+                    if mine and rng.random() < 0.45:
+                        queue.on_dequeue(mine.pop(rng.randrange(len(mine))))
+                    else:
+                        queue.on_enqueue(qtype)
+                        mine.append(qtype)
+                    policy.decide(Query(qtype=qtype))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        expected = 0.0
+        for qtype, count in queue.occupancy().items():
+            expected += count * policy.processing_snapshot(qtype).mean()
+        assert policy.estimate_wait_mean() == expected / 4

@@ -116,6 +116,44 @@ class TestDualBufferHistogram:
             buf.snapshot()
         assert buf.swap_count == 3
 
+    def test_no_second_swap_at_the_same_instant(self):
+        # Catch-up after a long idle gap: int((now - next) / interval)
+        # can round the next boundary onto ``now`` itself; a second touch
+        # at that instant must not swap again.
+        clock = ManualClock()
+        buf = DualBufferHistogram(clock, interval=0.05, min_samples=0)
+        for _ in range(3):
+            buf.record(0.01)
+        clock.advance(1.0)
+        first = buf.snapshot()
+        assert (first.count, first.epoch) == (3, 1)
+        assert buf.next_publish_due() > clock.now()
+        again = buf.snapshot()
+        assert again is first
+        assert buf.swap_count == 1
+
+    def test_no_spurious_retained_swap_at_the_same_instant(self):
+        clock = ManualClock()
+        buf = DualBufferHistogram(clock, interval=0.05, min_samples=10)
+        for _ in range(3):
+            buf.record(0.01)
+        clock.advance(1.0)
+        buf.snapshot()
+        buf.snapshot()
+        assert (buf.swap_count, buf.retained_count) == (1, 0)
+
+    @pytest.mark.parametrize("interval", [0.01, 0.05, 0.1, 0.3])
+    def test_publishing_independent_of_touch_count(self, interval):
+        # Every catch-up leaves the next boundary strictly after ``now``.
+        for k in range(1, 2000):
+            clock = ManualClock()
+            buf = DualBufferHistogram(clock, interval=interval,
+                                      min_samples=0)
+            buf.record(0.01)
+            clock.advance(k * 0.01)
+            buf.snapshot()
+            assert buf.next_publish_due() > clock.now(), k
+
 
 class TestSlidingWindowHistogram:
     def test_rejects_bad_config(self):
@@ -163,3 +201,20 @@ class TestSlidingWindowHistogram:
             clock.advance(1.0)
         assert counts[0] >= counts[-1]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("step", [0.01, 0.05, 0.1, 0.3])
+    def test_rotation_matches_next_publish_due(self, step):
+        # A touch changes the view exactly when ``now`` has reached
+        # next_publish_due(), and always leaves the next rotation after
+        # ``now`` -- so a reader can skip touches before that instant.
+        clock = ManualClock()
+        hist = SlidingWindowHistogram(clock, window=3 * step, step=step)
+        for k in range(1, 600):
+            hist.record(0.01)
+            before = hist.snapshot()
+            due = hist.next_publish_due()
+            clock.advance(0.01 if k % 7 else 0.013)
+            due_reached = clock.now() >= due
+            rotated = hist.snapshot() is not before
+            assert rotated is due_reached, k
+            assert hist.next_publish_due() > clock.now(), k

@@ -1,12 +1,11 @@
-"""Tests for the admission fast path: epoch-cached snapshot statistics,
-the incrementally maintained Eq. 2 state, the Eq. 2 scalar memo, and the
+"""Tests for Bouncer's decision memo, publish epochs, and the
 micro-optimizations that ride along (``__slots__``, lazy heap compaction).
 
-The load-bearing invariant throughout: with ``fast_path`` on or off,
-Bouncer produces *bit-identical* decisions and estimates.  The property
-test drives both variants through random interleavings of records,
-enqueues, dequeues, clock advances and decisions — with ``debug_check``
-making the fast policy self-verify Eq. 2 on every decision.
+The load-bearing invariant throughout: the memoized policy produces
+*bit-identical* decisions and estimates to the naive oracle
+(``tests/bouncer_oracle.py``), which recomputes everything on every call.
+The property tests drive both through random interleavings of records,
+enqueues, dequeues, clock advances and decisions.
 """
 
 import random
@@ -22,19 +21,22 @@ from repro.core.dual_buffer import DualBufferHistogram, SlidingWindowHistogram
 from repro.core.histogram import LatencyHistogram
 from repro.core.types import AdmissionResult, Query
 from repro.sim.simulator import Simulator
+from tests.bouncer_oracle import OracleBouncer
 
 SLO = LatencySLO.from_ms(p50=18, p90=50)
 TYPES = ("fast", "slow", "bulk")
 
 
-def make_policy(parallelism=4, clock=None, queue=None, **config):
+def make_policy(parallelism=4, clock=None, queue=None, oracle=False,
+                **config):
     clock = clock or ManualClock()
     queue = queue or QueueView()
     ctx = HostContext(clock=clock, queue=queue, parallelism=parallelism)
     registry = SLORegistry.uniform(SLO, TYPES)
     defaults = dict(min_samples=1, retain_min_samples=1, bootstrap_samples=0)
     defaults.update(config)
-    policy = BouncerPolicy(ctx, BouncerConfig(slos=registry, **defaults))
+    cls = OracleBouncer if oracle else BouncerPolicy
+    policy = cls(ctx, BouncerConfig(slos=registry, **defaults))
     return policy, clock, queue
 
 
@@ -128,23 +130,19 @@ class TestColdStartThreshold:
         assert not policy.estimate("fast").cold_start
 
     def test_both_paths_agree_on_threshold(self):
-        for fast in (True, False):
-            policy, clock, queue = make_policy(min_samples=0, fast_path=fast)
+        for oracle in (False, True):
+            policy, clock, queue = make_policy(min_samples=0, oracle=oracle)
             feed(policy, clock, "slow", [0.020] * 4)
             queue.on_enqueue("fast")
             assert policy.estimate_wait_mean() == pytest.approx(0.020 / 4)
 
 
 class ScriptRunner:
-    """Drive a fast(+debug) and a naive policy through one op script."""
+    """Drive the memoized policy and the oracle through one op script."""
 
     def __init__(self, **config):
-        self.policies = []
-        for overrides in (dict(fast_path=True, debug_check=True),
-                          dict(fast_path=False)):
-            merged = dict(config)
-            merged.update(overrides)
-            self.policies.append(make_policy(**merged))
+        self.policies = [make_policy(oracle=oracle, **config)
+                         for oracle in (False, True)]
         self.queued = []  # mirror, so dequeues target live entries
 
     def run(self, ops):
@@ -229,28 +227,46 @@ class TestFastPathEquivalence:
         runner.assert_identical(runner.run(ops))
 
     def test_import_state_invalidates_fast_caches(self):
-        policy, clock, queue = make_policy(fast_path=True, debug_check=True)
-        feed(policy, clock, "fast", [0.004] * 3)
-        queue.on_enqueue("fast")
-        before = policy.estimate_wait_mean()
         donor, dclock, _ = make_policy()
         feed(donor, dclock, "fast", [0.05] * 6)
-        policy.import_state(donor.export_state())
-        after = policy.estimate_wait_mean()  # debug_check verifies vs naive
-        assert after != before
+        waits = []
+        for oracle in (False, True):
+            policy, clock, queue = make_policy(oracle=oracle)
+            feed(policy, clock, "fast", [0.004] * 3)
+            queue.on_enqueue("fast")
+            before = policy.estimate_wait_mean()
+            policy.import_state(donor.export_state())
+            after = policy.estimate_wait_mean()
+            assert after != before
+            waits.append(after)
+        assert waits[0] == waits[1]
 
-    def test_scalar_memo_counts_hits(self):
-        policy, clock, queue = make_policy(fast_path=True)
+    def test_scalar_memo_counts_hits(self, monkeypatch):
+        policy, clock, queue = make_policy()
         feed(policy, clock, "fast", [0.004] * 4)
         queue.on_enqueue("fast")
+        touches = []
+        original = DualBufferHistogram.snapshot
+
+        def counting(self):
+            touches.append(self)
+            return original(self)
+
+        monkeypatch.setattr(DualBufferHistogram, "snapshot", counting)
+        first = policy.decide(Query(qtype="fast"))
+        after_first = len(touches)
         for _ in range(10):
-            policy.decide(Query(qtype="fast"))
-        stats = policy.fast_path_stats
-        assert stats.cache_hits > 0
-        # Enqueue invalidates the Eq. 2 scalar but not the epoch caches.
+            assert policy.decide(Query(qtype="fast")) == first
+        # Before the next publish boundary every decision is a memo hit.
+        assert len(touches) == after_first
+        # An enqueue re-sums Eq. 2 from the entries, without a touch.
         queue.on_enqueue("fast")
         policy.decide(Query(qtype="fast"))
-        assert policy.fast_path_stats.cache_hits > stats.cache_hits - 1
+        assert len(touches) == after_first
+        # Past the boundary the entry is re-read.
+        clock.advance(policy.config.histogram_interval)
+        policy.decide(Query(qtype="fast"))
+        assert len(touches) > after_first
 
 
 class TestSimulatorCompaction:
@@ -327,25 +343,6 @@ class TestSlotsTypes:
         b = AdmissionResult.accept(estimates={50.0: 0.01})
         assert a == b
         assert a != AdmissionResult.accept(estimates={50.0: 0.02})
-
-
-class TestQueueViewSubscription:
-    def test_listener_sees_deltas(self):
-        queue = QueueView()
-        seen = []
-        queue.subscribe(lambda qtype, delta: seen.append((qtype, delta)))
-        queue.on_enqueue("fast")
-        queue.on_enqueue("slow")
-        queue.on_dequeue("fast")
-        assert seen == [("fast", 1), ("slow", 1), ("fast", -1)]
-
-    def test_listener_may_read_view(self):
-        # Listeners run outside the view lock: re-entrancy must not hang.
-        queue = QueueView()
-        lengths = []
-        queue.subscribe(lambda qtype, delta: lengths.append(queue.length()))
-        queue.on_enqueue("fast")
-        assert lengths == [1]
 
 
 class TestRandomizedSoak:

@@ -1,8 +1,13 @@
 """Unit tests for repro.core.histogram."""
 
-import pytest
+import struct
 
-from repro.core.histogram import (BucketLayout, LatencyHistogram,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.histogram import (SNAPSHOT_WIRE_HEADER, BucketLayout,
+                                  HistogramSnapshot, LatencyHistogram,
                                   empty_snapshot)
 from repro.exceptions import ConfigurationError
 
@@ -154,3 +159,93 @@ class TestHistogramSnapshot:
         b = LatencyHistogram(BucketLayout(growth=1.5)).snapshot()
         with pytest.raises(ConfigurationError):
             a.merged_with(b)
+
+
+latencies = st.lists(st.floats(min_value=1e-7, max_value=200.0,
+                               allow_nan=False), max_size=40)
+
+
+def wire(values, epoch=3):
+    hist = LatencyHistogram.from_values(values)
+    return hist.snapshot(epoch=epoch).to_bytes()
+
+
+def with_header(buf, **fields):
+    names = ("min_value", "max_value", "growth", "epoch", "count", "sum",
+             "num_buckets")
+    header = dict(zip(names, SNAPSHOT_WIRE_HEADER.unpack_from(buf, 0)))
+    header.update(fields)
+    return (SNAPSHOT_WIRE_HEADER.pack(*(header[name] for name in names))
+            + buf[SNAPSHOT_WIRE_HEADER.size:])
+
+
+class TestSnapshotWireForm:
+    """``from_bytes`` validates like ``from_dict``: a record decodes to
+    exactly what was encoded, or raises ConfigurationError."""
+
+    def test_truncated_record_rejected(self):
+        buf = wire([0.01] * 30)
+        with pytest.raises(ConfigurationError):
+            HistogramSnapshot.from_bytes(buf[:-800])
+        with pytest.raises(ConfigurationError):
+            HistogramSnapshot.from_bytes(buf[:10])
+        with pytest.raises(ConfigurationError):
+            HistogramSnapshot.from_bytes(buf, offset=len(buf))
+
+    def test_count_must_match_bucket_sum(self):
+        buf = with_header(wire([0.01] * 30), count=999)
+        with pytest.raises(ConfigurationError):
+            HistogramSnapshot.from_bytes(buf)
+
+    def test_negative_bucket_count_rejected(self):
+        buf = bytearray(wire([0.01] * 30))
+        header = SNAPSHOT_WIRE_HEADER.size
+        struct.pack_into("<qq", buf, header, -1, 1)
+        with pytest.raises(ConfigurationError):
+            HistogramSnapshot.from_bytes(bytes(with_header(bytes(buf))))
+
+    def test_invalid_layout_header_rejected(self):
+        buf = wire([0.01])
+        for fields in (dict(growth=1.0 + 1e-12), dict(growth=float("nan")),
+                       dict(min_value=-1.0), dict(max_value=float("inf")),
+                       dict(num_buckets=0), dict(num_buckets=-5)):
+            with pytest.raises(ConfigurationError):
+                HistogramSnapshot.from_bytes(with_header(buf, **fields))
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=latencies, epoch=st.integers(0, 2**40),
+           prefix=st.binary(max_size=16))
+    def test_roundtrip(self, values, epoch, prefix):
+        hist = LatencyHistogram.from_values(values)
+        snap = hist.snapshot(epoch=epoch)
+        buf = prefix + snap.to_bytes()
+        decoded, end = HistogramSnapshot.from_bytes(buf, len(prefix))
+        assert end == len(buf)
+        assert (decoded.count, decoded.epoch) == (snap.count, epoch)
+        assert decoded.to_dict() == snap.to_dict()
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=latencies, data=st.data())
+    def test_truncation_always_rejected(self, values, data):
+        buf = wire(values)
+        cut = data.draw(st.integers(0, len(buf) - 1))
+        with pytest.raises(ConfigurationError):
+            HistogramSnapshot.from_bytes(buf[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=latencies, data=st.data())
+    def test_malformed_record_decodes_consistently_or_raises(self, values,
+                                                             data):
+        buf = bytearray(wire(values))
+        for _ in range(data.draw(st.integers(1, 4))):
+            index = data.draw(st.integers(0, len(buf) - 1))
+            buf[index] = data.draw(st.integers(0, 255))
+        try:
+            decoded, end = HistogramSnapshot.from_bytes(bytes(buf))
+        except ConfigurationError:
+            return
+        assert end <= len(buf)
+        as_dict = decoded.to_dict()
+        assert all(count > 0 for count in as_dict["buckets"].values())
+        assert decoded.count == sum(as_dict["buckets"].values())
+        assert HistogramSnapshot.from_dict(as_dict).count == decoded.count

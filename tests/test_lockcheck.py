@@ -132,6 +132,25 @@ class TestLockGraph:
                 with lock_a:
                     pass
 
+    def test_freed_locks_do_not_alias_new_ones(self, registry):
+        # CPython hands a freed lock's id to the next lock allocated.  A
+        # new pair nested in the reverse order of a dead pair with the
+        # same ids is no deadlock: the dead locks can never be taken.
+        for _ in range(20):
+            old_a, old_b = make_pair(registry)
+            with old_a:
+                with old_b:
+                    pass
+            was_b = id(old_b)
+            del old_a, old_b
+            new = [CheckedLock(registry, name="new-1"),
+                   CheckedLock(registry, name="new-2")]
+            new.sort(key=lambda lock: id(lock) != was_b)
+            with new[0]:
+                with new[1]:
+                    pass
+        assert registry.violations == []
+
     def test_reset_clears_graph_and_violations(self, registry):
         lock_a, lock_b = make_pair(registry)
         with lock_a:

@@ -1,11 +1,10 @@
-"""The optional-numpy gate: the pure-python percentile path must be
-bit-identical to the vectorized one, and everything must work with numpy
-absent (``repro.core._compat`` sets ``numpy = None`` on ImportError or
-when ``REPRO_NO_NUMPY`` is set — CI runs a leg with that env var).
+"""The optional-numpy gate: everything must work with numpy absent
+(``repro.core._compat`` sets ``numpy = None`` on ImportError or when
+``REPRO_NO_NUMPY`` is set — CI runs a leg with that env var).
 
-The vectorized path only engages at ``NUMPY_MIN_TARGETS`` or more
-percentile targets (below that ``bisect`` wins on fixed overhead), so
-the identity tests use target lists straddling that threshold.
+Percentiles never use numpy: the list form ``percentiles()`` must stay
+bit-identical to per-target ``percentile()`` calls, for few and many
+targets alike.
 """
 
 import os
@@ -15,18 +14,10 @@ import sys
 
 import pytest
 
-import repro.core.histogram as histogram_module
-from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
-                        LatencySLO, ManualClock, QueueView, SLORegistry)
-from repro.core._compat import have_numpy
-from repro.core.histogram import NUMPY_MIN_TARGETS, LatencyHistogram
-from repro.core.types import Query
+from repro.core.histogram import LatencyHistogram
 
 MANY_TARGETS = (1.0, 5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 FEW_TARGETS = (50.0, 90.0)
-
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="numpy not importable")
 
 
 def _random_snapshot(seed, count=500):
@@ -38,45 +29,30 @@ def _random_snapshot(seed, count=500):
 
 
 class TestPercentileIdentity:
-    @needs_numpy
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_vectorized_equals_bisect(self, seed, monkeypatch):
+    def test_vectorized_equals_bisect(self, seed):
         snap = _random_snapshot(seed)
-        assert len(MANY_TARGETS) >= NUMPY_MIN_TARGETS
-        vectorized = snap.percentiles(MANY_TARGETS)
-        monkeypatch.setattr(histogram_module, "_np", None)
-        fallback = snap.percentiles(MANY_TARGETS)
-        assert vectorized == fallback  # exact float equality
+        assert snap.percentiles(MANY_TARGETS) == [
+            snap.percentile(p) for p in MANY_TARGETS]  # exact equality
 
-    @needs_numpy
-    def test_boundary_targets_identical(self, monkeypatch):
+    def test_boundary_targets_identical(self):
         # Percentile targets landing exactly on cumulative-count
-        # boundaries are where searchsorted vs bisect_left tie-breaking
-        # could diverge; pin them explicitly.
+        # boundaries are where bisect_left tie-breaking matters; pin them.
         hist = LatencyHistogram()
         for value in (0.001, 0.001, 0.01, 0.01, 0.1, 0.1, 0.1, 1.0):
             hist.record(value)
         snap = hist.snapshot()
         targets = (12.5, 25.0, 50.0, 62.5, 87.5, 100.0)
-        vectorized = snap.percentiles(targets)
-        monkeypatch.setattr(histogram_module, "_np", None)
-        assert snap.percentiles(targets) == vectorized
+        assert snap.percentiles(targets) == [
+            snap.percentile(p) for p in targets]
 
     def test_few_targets_use_bisect_path(self):
-        # Below the threshold both arms run the same bisect code, so this
-        # holds with or without numpy present.
         snap = _random_snapshot(11)
         assert snap.percentiles(FEW_TARGETS) == [
             snap.percentile(p) for p in FEW_TARGETS]
 
 
 class TestNumpyAbsent:
-    def test_cumulative_array_raises_without_numpy(self, monkeypatch):
-        snap = _random_snapshot(7)
-        monkeypatch.setattr(histogram_module, "_np", None)
-        with pytest.raises(RuntimeError):
-            snap.cumulative_array()
-
     def test_env_gate_disables_numpy(self):
         # REPRO_NO_NUMPY forces the pure-python path even when numpy is
         # installed — the CI fallback leg runs the whole battery this way.
@@ -89,41 +65,27 @@ class TestNumpyAbsent:
         ).returncode
         assert code == 0
 
-    def test_bouncer_decisions_identical_without_numpy(self, monkeypatch):
-        # Decision identity end to end: one warmed Bouncer decides with
-        # the module-level numpy handle nulled, a twin decides with it
-        # intact; every decision and estimate must match exactly.
-        slo = LatencySLO.from_ms(p50=18, p90=50)
-        types = ("fast", "slow", "bulk")
-
-        def make_policy():
-            clock = ManualClock()
-            queue = QueueView()
-            ctx = HostContext(clock=clock, queue=queue, parallelism=4)
-            policy = BouncerPolicy(ctx, BouncerConfig(
-                slos=SLORegistry.uniform(slo, types), min_samples=1,
-                retain_min_samples=1, bootstrap_samples=0,
-                fast_path=True, debug_check=True))
-            rng = random.Random(31)
-            for qtype in types:
-                for _ in range(30):
-                    policy.on_completed(Query(qtype=qtype), 0.0,
-                                        rng.lognormvariate(-5.0, 1.0))
-            clock.advance(1.5)
-            for qtype in ("fast", "slow", "slow"):
-                queue.on_enqueue(qtype)
-                policy.on_enqueued(Query(qtype=qtype))
-            return policy
-
-        qtypes = [random.Random(41).choice(types) for _ in range(60)]
-        with_numpy = make_policy()
-        results_numpy = with_numpy.decide_many(
-            [Query(qtype=qtype) for qtype in qtypes])
-        monkeypatch.setattr(histogram_module, "_np", None)
-        without_numpy = make_policy()
-        results_fallback = without_numpy.decide_many(
-            [Query(qtype=qtype) for qtype in qtypes])
-        for a, b in zip(results_numpy, results_fallback):
-            assert a.decision is b.decision
-            assert a.reason is b.reason
-            assert a.estimates == b.estimates
+    def test_bouncer_decisions_identical_without_numpy(self):
+        # Decision identity end to end: a warmed Bouncer decides in a
+        # process with numpy disabled and in one with it available; every
+        # decision and estimate must match exactly.
+        script = (
+            "import random\n"
+            "from repro.bench.perf import _warmed_bouncer\n"
+            "from repro.core.types import Query\n"
+            "policy = _warmed_bouncer()\n"
+            "rng = random.Random(41)\n"
+            "types = ('fast', 'medium_fast', 'medium_slow', 'slow')\n"
+            "for _ in range(60):\n"
+            "    r = policy.decide(Query(qtype=rng.choice(types)))\n"
+            "    print(r.accepted, sorted(r.estimates.items()))\n")
+        root = os.path.dirname(os.path.dirname(__file__))
+        outputs = []
+        for no_numpy in ("1", ""):
+            env = dict(os.environ, REPRO_NO_NUMPY=no_numpy,
+                       PYTHONPATH=os.path.join(root, "src"))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=root,
+                capture_output=True, text=True, check=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 60

@@ -163,20 +163,3 @@ class TestRenderMetricsConcurrent:
         final = render_metrics(wrapper, queue)
         assert 'accepted_total{qtype="fast"}' in final
         assert "overrides_total" in final
-
-
-class TestFastPathExposition:
-    def test_fast_path_counters_rendered(self):
-        policy, clock, queue = make_bouncer()
-        for _ in range(10):
-            policy.on_completed(Query(qtype="fast"), 0.0, 0.002)
-        clock.advance(1.0)
-        queue.on_enqueue("fast")
-        for _ in range(3):
-            policy.decide(Query(qtype="fast"))
-        text = render_metrics(policy, queue)
-        assert "estimator_cache_hits" in text
-        assert "estimator_cache_misses" in text
-        assert "eq2_recomputes" in text
-        match = re.search(r"estimator_cache_hits (\d+)", text)
-        assert match and int(match.group(1)) > 0

@@ -279,46 +279,30 @@ class TestSimulationIntegration:
         assert plain.overall.response == traced.overall.response
 
 
-class TestFastPathCounters:
-    def test_record_fast_path_delta_syncs(self):
-        policy, clock, queue = make_warm_bouncer()
-        queue.on_enqueue("fast")
-        for _ in range(5):
-            policy.decide(Query(qtype="fast"))
-        telemetry = Telemetry()
-        telemetry.record_fast_path(policy)
-        hits = telemetry.registry.counter_value("estimator_cache_hits",
-                                                host="main")
-        misses = telemetry.registry.counter_value("estimator_cache_misses",
-                                                  host="main")
-        assert hits == policy.fast_path_stats.cache_hits > 0
-        assert misses == policy.fast_path_stats.cache_misses > 0
-        # Re-sync without new activity: counters must not double-count.
-        telemetry.record_fast_path(policy)
-        assert telemetry.registry.counter_value("estimator_cache_hits",
-                                                host="main") == hits
-        # New decisions add only the delta.
-        policy.decide(Query(qtype="fast"))
-        telemetry.record_fast_path(policy)
-        assert telemetry.registry.counter_value(
-            "estimator_cache_hits",
-            host="main") == policy.fast_path_stats.cache_hits
-
-    def test_counters_flow_through_decision_hook(self):
-        policy, clock, queue = make_warm_bouncer()
-        queue.on_enqueue("fast")
-        telemetry = Telemetry()
-        query = Query(qtype="fast")
+class TestColdStartFlag:
+    def test_min_samples_zero_reports_the_fallback_used(self):
+        # With min_samples=0 an empty type histogram is still cold (the
+        # trust threshold is max(min_samples, 1)): the decision compares
+        # the general histogram against the default SLO, and the trace
+        # must say so rather than "warm" with the per-type SLO.
+        clock = ManualClock()
+        queue = QueueView()
+        ctx = HostContext(clock=clock, queue=queue, parallelism=4)
+        default = LatencySLO.from_ms(p50=10, p90=20)
+        registry = SLORegistry(default=default, per_type={
+            "x": LatencySLO.from_ms(p50=100, p90=200)})
+        policy = BouncerPolicy(ctx, BouncerConfig(
+            slos=registry, min_samples=0, retain_min_samples=1,
+            bootstrap_samples=0))
+        for _ in range(50):
+            policy.on_completed(Query(qtype="y"), 0.0, 0.015)
+        clock.advance(1.0)
+        telemetry = Telemetry(tracer=DecisionTracer(sample_rate=1.0))
+        query = Query(qtype="x")
         result = policy.decide(query)
-        telemetry.on_decision(query, result, now=0.0, policy=policy)
-        text = telemetry.render()
-        assert "estimator_cache_hits" in text or (
-            "estimator_cache_misses" in text)
-
-    def test_non_bouncer_policy_is_ignored(self):
-        telemetry = Telemetry()
-        from repro.core import AlwaysAcceptPolicy
-
-        telemetry.record_fast_path(AlwaysAcceptPolicy())
-        assert telemetry.registry.counter_value("estimator_cache_hits",
-                                                host="main") == 0.0
+        assert not result.accepted  # general p50 ~15ms > default 10ms
+        telemetry.on_decision(query, result, now=clock.now(), policy=policy)
+        (event,) = telemetry.tracer.events()
+        assert event.cold_start is True
+        assert event.slo == {"50": 0.010, "90": 0.020}
+        assert event.ewt_mean == 0.0

@@ -67,20 +67,6 @@ class TestSummarizeEvents:
         summary = summarize_events([])
         assert summary.events == 0 and summary.span == 0.0
         assert summary.totals().received == 0
-        assert summary.fast_path == {}
-
-    def test_fast_path_keeps_newest_cumulative_snapshot(self):
-        events = make_events()
-        events[0].fast_path = {"estimator_cache_hits": 1,
-                               "estimator_cache_misses": 1,
-                               "eq2_recomputes": 1}
-        events[3].fast_path = {"estimator_cache_hits": 30,
-                               "estimator_cache_misses": 10,
-                               "eq2_recomputes": 4}
-        summary = summarize_events(events)
-        assert summary.fast_path == {"estimator_cache_hits": 30,
-                                     "estimator_cache_misses": 10,
-                                     "eq2_recomputes": 4}
 
 
 class TestRenderTraceReport:
@@ -93,24 +79,6 @@ class TestRenderTraceReport:
         # The p50 target (18ms) is missed: only 50% of completions <= 18ms.
         assert "NO (50%<50%)" not in text  # 50% >= 50% attains p50
         assert "rt_p90 (ms)" in text
-        # No fast-path counters in the trace: no fast-path section.
-        assert "Admission fast path" not in text
-
-    def test_fast_path_section_renders_hit_rate(self):
-        events = make_events()
-        events[0].fast_path = {"estimator_cache_hits": 30,
-                               "estimator_cache_misses": 10,
-                               "eq2_recomputes": 4}
-        text = render_trace_report(summarize_events(events))
-        assert "Admission fast path" in text
-        assert "estimator_cache_hits" in text
-        assert "75.0%" in text  # 30 hits / 40 lookups
-
-    def test_fast_path_section_handles_zero_lookups(self):
-        events = make_events()
-        events[0].fast_path = {"eq2_recomputes": 2}
-        text = render_trace_report(summarize_events(events))
-        assert "Admission fast path" in text  # hit rate renders as "-"
 
     def test_report_on_real_tracer_output(self, tmp_path):
         from repro.core.types import AdmissionResult, Query, RejectReason
