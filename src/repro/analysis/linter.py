@@ -42,8 +42,7 @@ DEFAULT_EXCLUDE: Tuple[str, ...] = ("*/analysis_fixtures/*",)
 DEFAULT_ALLOW_PATHS: Mapping[str, Tuple[str, ...]] = {
     # clock.py is the sanctioned wall-clock boundary; the perf harness
     # legitimately measures wall time (that is its whole job).
-    "no-wall-clock": ("*/repro/core/clock.py", "*/repro/bench/perf.py",
-                      "*/repro/bench/sim_perf.py"),
+    "no-wall-clock": ("*/repro/core/clock.py", "*/repro/bench/perf.py"),
     # Tests open handles to assert on intermediate open-span state.
     "span-must-finish": ("*/tests/*",),
 }

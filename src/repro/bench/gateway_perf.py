@@ -29,7 +29,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core._compat import have_numpy
 from ..core.clock import MonotonicClock
 from ..core.histogram import HistogramSnapshot, LatencyHistogram
 from ..core.types import Query
@@ -233,7 +232,6 @@ def run_gateway_bench(scale: GatewayBenchScale,
         "mode": mode,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "numpy": have_numpy(),
         "shards": scale.shards,
         "generators": scale.generators,
         "offered_qps": report.offered_qps,

@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core._compat import have_numpy
 from ..core.bouncer import BouncerConfig, BouncerPolicy
 from ..core.clock import ManualClock
 from ..core.context import HostContext
@@ -350,10 +349,6 @@ def run_batch_bench(scale: BenchScale, mode: str = "custom"
         "mode": mode,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        # Whether the vectorized percentile path was available; the
-        # pure-python fallback is bit-identical but slower, so baselines
-        # are only comparable within one value of this flag.
-        "numpy": have_numpy(),
     }
     document.update(bench_batch_decisions(scale.decision_iterations))
     return document
@@ -420,8 +415,7 @@ def render_batch_summary(document: Dict[str, Any]) -> str:
     """Human-readable one-screen summary of a BENCH_02 document."""
     lines = [f"{document.get('bench_id', '?')} "
              f"(mode={document.get('mode', '?')}, "
-             f"python={document.get('python', '?')}, "
-             f"numpy={'yes' if document.get('numpy') else 'no'})"]
+             f"python={document.get('python', '?')})"]
     lines.append("batch decisions/sec (decide_many):")
     rates = document.get("batch_decisions_per_sec", {})
     for name in sorted(rates, key=lambda k: int(k.rsplit("_", 1)[1])):

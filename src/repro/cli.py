@@ -171,25 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="BENCH_02 baseline JSON to gate batch-64 "
                             "decide_many throughput against (implies the "
                             "burst sweep; exit 1 on regression)")
-    bench.add_argument("--sim", action="store_true",
-                       help="run the BENCH_04 event-engine bench instead "
-                            "of the decision microbenchmarks: event storm "
-                            "(calendar vs classic heap), the end-to-end "
-                            "Figure-6 cell, the cluster cell, and the "
-                            "bit-identity differential guards")
-    bench.add_argument("--sim-out", default="BENCH_04.json",
-                       help="BENCH_04 aggregate JSON output path "
-                            "(with --sim)")
-    bench.add_argument("--sim-baseline", default=None,
-                       help="BENCH_04 baseline JSON to gate fig06 "
-                            "throughput against (implies --sim; the "
-                            "differential bit-identity arms gate "
-                            "unconditionally; exit 1 on regression)")
-    bench.add_argument("--profile", default=None, metavar="PATH",
-                       help="with --sim: additionally profile one "
-                            "Figure-6 cell with cProfile, dump the raw "
-                            "stats to PATH, and print the top "
-                            "cumulative-time entries")
 
     gwbench = sub.add_parser(
         "gateway-bench",
@@ -387,11 +368,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from .bench.tables import results_dir
 
     mode = "quick" if args.quick else "full"
-    if args.sim or args.sim_baseline:
-        return _run_sim_bench(args, mode)
-    if args.profile:
-        print("bench: --profile requires --sim", file=sys.stderr)
-        return 2
     document = run_bench(SCALES[mode], jobs=args.jobs, mode=mode)
     out_dir = args.results_dir if args.results_dir else str(results_dir())
     written = write_results(document, args.out, results_dir=out_dir)
@@ -434,50 +410,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         failed |= gate(args.batch_baseline, batch_document,
                        check_batch_baseline, "BENCH_02")
     return failed
-
-
-def _run_sim_bench(args: argparse.Namespace, mode: str) -> int:
-    """``repro bench --sim``: the BENCH_04 event-engine harness."""
-    import json
-
-    from .bench.sim_perf import (DEFAULT_TOLERANCE, SIM_SCALES,
-                                 check_sim_baseline, profile_fig06,
-                                 render_sim_summary, run_sim_bench,
-                                 write_sim_results)
-
-    scale = SIM_SCALES[mode]
-    document = run_sim_bench(scale, mode=mode)
-    written = write_sim_results(document, args.sim_out)
-    print(render_sim_summary(document))
-    if args.profile:
-        print()
-        print(profile_fig06(scale.diff_queries, args.profile,
-                            seed=scale.fig06_seed,
-                            warmup_queries=scale.fig06_warmup))
-        written.append(args.profile)
-    print()
-    for path in written:
-        print(f"wrote {path}")
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
-    baseline = None
-    if args.sim_baseline:
-        try:
-            with open(args.sim_baseline, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot read baseline {args.sim_baseline}: "
-                  f"{exc}", file=sys.stderr)
-            return 1
-    problems = check_sim_baseline(document, baseline, tolerance=tolerance)
-    if problems:
-        for problem in problems:
-            print(f"bench: REGRESSION: {problem}", file=sys.stderr)
-        return 1
-    if baseline is not None:
-        print(f"BENCH_04 baseline check passed ({args.sim_baseline}, "
-              f"tolerance {tolerance:.0%})")
-    return 0
 
 
 def cmd_gateway_bench(args: argparse.Namespace) -> int:

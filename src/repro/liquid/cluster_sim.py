@@ -926,10 +926,14 @@ def run_cluster_simulation(config: ClusterConfig,
     """
     if num_queries < 1:
         raise ConfigurationError("num_queries must be >= 1")
-    if rate_qps <= 0:
-        raise ConfigurationError("rate_qps must be > 0")
+    if not (math.isfinite(rate_qps) and rate_qps > 0):
+        raise ConfigurationError(
+            f"rate_qps must be finite and > 0, got {rate_qps}")
     if warmup_queries is None:
         warmup_queries = max(num_queries // 5, int(2.0 * rate_qps), 1000)
+    elif warmup_queries < 0:
+        raise ConfigurationError(
+            f"warmup_queries must be >= 0, got {warmup_queries}")
     total = warmup_queries + num_queries
 
     sim = Simulator()

@@ -14,8 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import (TYPE_CHECKING, Callable, Deque, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 if TYPE_CHECKING:  # avoid a sim <-> telemetry import cycle at runtime
     from ..faults import FaultInjector
@@ -23,7 +22,7 @@ if TYPE_CHECKING:  # avoid a sim <-> telemetry import cycle at runtime
 
 from ..core.context import HostContext
 from ..core.policy import AdmissionPolicy, QueueView
-from ..core.types import AdmissionResult, Query, QueryPool
+from ..core.types import AdmissionResult, Query
 from ..exceptions import ConfigurationError
 from .report import ServerMetrics
 from .simulator import Simulator
@@ -83,13 +82,6 @@ class SimulatedServer:
         start.
     host_label:
         This host's name for fault targeting and telemetry attribution.
-    query_pool:
-        Optional :class:`~repro.core.types.QueryPool`.  When supplied, the
-        host releases each query back to the pool at its terminal point
-        (rejection, in-queue expiration, or completion) so the workload
-        driver can recycle the objects.  Only enable pooling when no hook
-        retains queries past those points (the stock metrics and policies
-        do not; a decision hook or telemetry sink might).
     """
 
     def __init__(self, sim: Simulator, parallelism: int,
@@ -100,8 +92,7 @@ class SimulatedServer:
                  priority_fn: Optional[PriorityFn] = None,
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None,
-                 host_label: str = "sim",
-                 query_pool: Optional["QueryPool"] = None) -> None:
+                 host_label: str = "sim") -> None:
         if parallelism < 1:
             raise ConfigurationError(
                 f"parallelism must be >= 1, got {parallelism}")
@@ -118,7 +109,6 @@ class SimulatedServer:
         self._telemetry = telemetry
         self._faults = fault_injector
         self._host = host_label
-        self._pool = query_pool
         # Deferred registry updates for the Point-2/3 histograms (waits,
         # processing, response): buffered per drain and flushed through
         # ``MetricsRegistry.add_many`` whenever all engines go idle or the
@@ -126,10 +116,6 @@ class SimulatedServer:
         # a rejection storm with no completions would otherwise never
         # flush them.
         self._tele_batch = telemetry.batch() if telemetry is not None else None
-        # Arrival instant of the burst currently flowing through
-        # ``offer_many``; lets the batch callback be a plain bound method
-        # instead of a per-burst closure.
-        self._batch_now = 0.0
         # Dispatch-resume instant scheduled for an active engine stall;
         # guards against piling up duplicate wake-up events.
         self._stall_wakeup_at: Optional[float] = None
@@ -176,52 +162,23 @@ class SimulatedServer:
             override = self._faults.admission_override(query, now,
                                                        self._host)
             if override is not None:
-                self._apply_decision(query, override, now)
+                self._apply_decision(query, override)
                 return override
-        result = self.policy.decide(query)
-        self._apply_decision(query, result, now)
-        return result
+        # A burst of one through ``decide_many``: the policy applies the
+        # side effects through the callback, so a wrapper that sees
+        # ``on_decision`` sees every decision the host acts on.
+        return self.policy.decide_many(
+            (query,), on_decision=self._apply_decision)[0]
 
-    def offer_many(self, queries: Sequence[Query]) -> List[AdmissionResult]:
-        """Present a burst of same-tick arrivals through one batch decision.
-
-        Bit-identical to calling :meth:`offer` once per query in order: the
-        policy's ``decide_many`` fires :meth:`_apply_decision` after each
-        decision, so an accepted query is enqueued (and possibly dispatched)
-        before the next query in the burst is decided — exactly the state
-        sequential arrivals would observe.  With a fault injector *armed*
-        the burst degrades to the scalar loop, because fault windows
-        interleave probabilistic draws (admission overrides, error
-        verdicts) with dispatch in arrival order and batching would
-        reorder that stream.  A merely attached-but-unarmed injector is
-        inert (all its hooks are no-ops that consume no randomness), so it
-        does not force the degradation; neither does an attached tracer —
-        telemetry fires per decision inside :meth:`_apply_decision` either
-        way, so tracing and batching compose.
-        """
-        if not queries:
-            return []
-        if self._faults is not None and self._faults.armed:
-            return [self.offer(query) for query in queries]
-        now = self._sim.now
-        note_arrival = self.metrics.note_arrival
-        for query in queries:
-            query.arrival_time = now
-            note_arrival(now)
-        self._batch_now = now
-        return self.policy.decide_many(queries,
-                                       on_decision=self._apply_batched)
-
-    def _apply_batched(self, query: Query, result: AdmissionResult) -> None:
-        self._apply_decision(query, result, self._batch_now)
-
-    def _apply_decision(self, query: Query, result: AdmissionResult,
-                        now: float) -> None:
-        """Post-decision side effects, shared by the scalar and batch paths.
+    def _apply_decision(self, query: Query, result: AdmissionResult) -> None:
+        """Post-decision side effects of :meth:`offer`.
 
         Hooks and telemetry fire for every decision; an accepted query is
         stamped, enqueued, and offered to an idle engine immediately.
+        Deciding does not advance simulated time, so the instant is the
+        arrival's.
         """
+        now = self._sim.now
         if self._on_decision is not None:
             self._on_decision(now, query, result)
         if self._telemetry is not None:
@@ -230,8 +187,6 @@ class SimulatedServer:
                                         policy=self.policy)
         if not result.accepted:
             self.metrics.record_rejection(query, result)
-            if self._pool is not None:
-                self._pool.release(query)
             return
         query.enqueued_at = now
         # Sample the service demand once and stamp it on the query; dispatch
@@ -308,8 +263,6 @@ class SimulatedServer:
                 self.metrics.record_expiration(query, wasted_work=0.0)
                 if self._telemetry is not None:
                     self._telemetry.on_expired(query, now=now)
-                if self._pool is not None:
-                    self._pool.release(query)
                 continue
             query.dequeued_at = now
             self.queue_view.on_dequeue(query.qtype)
@@ -371,8 +324,6 @@ class SimulatedServer:
                                           defer=self._tele_batch)
         self._account_busy()
         self._idle += 1
-        if self._pool is not None:
-            self._pool.release(query)
         self._dispatch()
         batch = self._tele_batch
         if batch is not None and (self._idle == self.parallelism

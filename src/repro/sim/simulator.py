@@ -14,38 +14,17 @@ reproducible bit-for-bit from its seeds.
 
 Engine
 ------
-Events are plain mutable lists ``[when, seq, fn, arg, poolable]`` so heap
+One binary heap of plain mutable lists ``[when, seq, fn, arg]``, so heap
 siftup compares them with C-level list comparison (``seq`` is unique, so
 the comparison never reaches the callback slot) instead of a Python-level
-``__lt__`` — the single largest win over the original object heap.
-
-Two scheduling tiers keep heap depth small on million-event runs:
-
-* a **calendar queue** of ``_NBUCKETS`` time buckets covering the near
-  horizon (each bucket a small heap), walked by a monotonic cursor; and
-* an **overflow heap** for events beyond the horizon, drained into a fresh
-  bucket window whenever the calendar runs dry.
-
-Bucket assignment ``int((when - cal_start) / width)`` is monotone in
-``when``, so events in bucket ``i`` never sort after events in bucket
-``i+1`` or the overflow — the pop order is *exactly* the ``(when, seq)``
-total order of a single heap.  The bucket width self-tunes to the observed
-event density at every window advance.  Setting ``REPRO_CLASSIC_HEAP=1``
-(or ``Simulator(classic_heap=True)``) collapses both tiers into one binary
-heap — the escape hatch and differential baseline
-(``tests/test_event_engine.py`` holds the two engines to identical pop
-sequences).
-
-Cancellation marks the entry dead in place (callback slot ``None``); dead
-entries are skipped at pop time and swept by a lazy compaction once they
-dominate the schedule.  Entries scheduled through the internal no-handle
-path are recycled through a free list (see ``docs/performance.md``).
+``__lt__``.  Cancellation marks the entry dead in place (callback slot
+``None``); dead entries are skipped at pop time and swept by a lazy
+compaction once they dominate the schedule.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional
 
 from ..core.clock import ManualClock
@@ -56,16 +35,9 @@ Action = Callable[[], None]
 #: ``arg`` sentinel for zero-argument entries (fire as ``fn()``).
 _NO_ARG = object()
 
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-
 
 class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation.
-
-    The handle wraps the engine's internal entry; only handle-backed
-    entries can be cancelled, and the engine never recycles them.
-    """
+    """Handle for a scheduled callback; supports cancellation."""
 
     __slots__ = ("_entry", "_owner", "cancelled")
 
@@ -98,12 +70,9 @@ class ScheduledEvent:
             if self._owner is not None:
                 self._owner._note_cancelled()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class Simulator:
-    """Two-tier event schedule + simulated clock.
+    """Event heap + simulated clock.
 
     Usage::
 
@@ -115,36 +84,13 @@ class Simulator:
     #: Compact only once this many cancellations accumulate (small schedules
     #: are cheap to pop through; rebuilding them would be churn).
     _COMPACT_MIN_CANCELLED = 64
-    #: Calendar buckets per window.
-    _NBUCKETS = 256
-    #: Initial bucket width in seconds (self-tunes from pop density).
-    _INIT_WIDTH = 1e-3
-    #: Free-list cap for recycled no-handle entries.
-    _FREE_MAX = 4096
 
-    def __init__(self, start: float = 0.0,
-                 classic_heap: Optional[bool] = None) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.clock = ManualClock(start)
+        self._heap: List[List[Any]] = []
         self._seq = 0
         self._events_processed = 0
         self._cancelled = 0
-        self._free: List[List[Any]] = []
-        if classic_heap is None:
-            classic_heap = os.environ.get(
-                "REPRO_CLASSIC_HEAP", "") not in ("", "0")
-        self._classic = bool(classic_heap)
-        # Overflow heap (the only heap in classic mode).
-        self._overflow: List[List[Any]] = []
-        n = self._NBUCKETS
-        self._nbuckets = n
-        self._buckets: List[List[List[Any]]] = [[] for _ in range(n)]
-        self._cursor = 0
-        self._width = self._INIT_WIDTH
-        self._inv_width = 1.0 / self._INIT_WIDTH
-        self._cal_start = float(start)
-        self._horizon = float(start) + n * self._width
-        self._cal_count = 0
-        self._window_pops = 0
 
     @property
     def now(self) -> float:
@@ -159,211 +105,67 @@ class Simulator:
     def pending(self) -> int:
         """Live (non-cancelled) events still scheduled.
 
-        Cancelled events stay in their heaps as placeholders until they are
+        Cancelled events stay in the heap as placeholders until they are
         either popped or swept by the lazy compaction, but they are never
         counted here.
         """
-        return self._cal_count + len(self._overflow) - self._cancelled
+        return len(self._heap) - self._cancelled
 
     # -- internal plumbing -------------------------------------------------
-    def _push(self, entry: List[Any]) -> None:
-        if self._classic:
-            _heappush(self._overflow, entry)
-            return
-        cur = self._cursor
-        when = entry[0]
-        n = self._nbuckets
-        if cur < n and when < self._horizon:
-            idx = int((when - self._cal_start) * self._inv_width)
-            if idx < n:
-                # Late float truncation can land below the cursor; clamping
-                # up is order-safe because each bucket is itself a heap.
-                if idx < cur:
-                    idx = cur
-                _heappush(self._buckets[idx], entry)
-                self._cal_count += 1
-                return
-        _heappush(self._overflow, entry)
-
     def _schedule_call(self, when: float, fn: Callable[[Any], None],
                        arg: Any) -> None:
         """Handle-free scheduling for internal hot paths.
 
         The caller guarantees ``when >= now``; the entry cannot be
-        cancelled and is recycled through the free list after firing.
+        cancelled.
         """
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = fn
-            entry[3] = arg
-        else:
-            entry = [when, seq, fn, arg, True]
-        self._push(entry)
-
-    def _advance_window(self) -> None:
-        """Rotate the calendar to a fresh window anchored at the overflow
-        minimum, retuning the bucket width to the observed pop density."""
-        ovf = self._overflow
-        anchor = ovf[0][0]
-        pops = self._window_pops
-        if pops > 0:
-            span = anchor - self._cal_start
-            if span > 0.0:
-                # Aim for ~4 events per bucket; damp to a 4x move per
-                # window so one weird window cannot wreck the tuning.
-                est = 4.0 * span / pops
-                lo = self._width * 0.25
-                hi = self._width * 4.0
-                if est < lo:
-                    est = lo
-                elif est > hi:
-                    est = hi
-                if est < 1e-9:
-                    est = 1e-9
-                self._width = est
-                self._inv_width = 1.0 / est
-        self._window_pops = 0
-        self._cal_start = anchor
-        n = self._nbuckets
-        horizon = anchor + n * self._width
-        self._horizon = horizon
-        self._cursor = 0
-        buckets = self._buckets
-        inv = self._inv_width
-        moved = 0
-        while ovf and ovf[0][0] < horizon:
-            entry = _heappop(ovf)
-            if entry[2] is None:
-                self._cancelled -= 1
-                continue
-            idx = int((entry[0] - anchor) * inv)
-            if idx >= n:  # float truncation at the horizon edge
-                idx = n - 1
-            _heappush(buckets[idx], entry)
-            moved += 1
-        self._cal_count += moved
-
-    def _peek(self) -> Optional[List[Any]]:
-        """Next live entry without removing it (prunes dead heads).
-
-        After a successful peek the head sits at ``_overflow[0]`` (classic
-        mode) or ``_buckets[_cursor][0]`` (calendar mode).
-        """
-        if self._classic:
-            ovf = self._overflow
-            while ovf:
-                head = ovf[0]
-                if head[2] is None:
-                    _heappop(ovf)
-                    self._cancelled -= 1
-                    continue
-                return head
-            return None
-        buckets = self._buckets
-        n = self._nbuckets
-        while True:
-            cur = self._cursor
-            while cur < n:
-                b = buckets[cur]
-                while b:
-                    head = b[0]
-                    if head[2] is None:
-                        _heappop(b)
-                        self._cal_count -= 1
-                        self._cancelled -= 1
-                        continue
-                    if cur != self._cursor:
-                        self._cursor = cur
-                    return head
-                cur += 1
-            self._cursor = n
-            ovf = self._overflow
-            while ovf and ovf[0][2] is None:
-                _heappop(ovf)
-                self._cancelled -= 1
-            if not ovf:
-                return None
-            self._advance_window()
-
-    def _pop_head(self) -> None:
-        """Remove the entry located by the last `_peek` call."""
-        if self._classic:
-            _heappop(self._overflow)
-        else:
-            _heappop(self._buckets[self._cursor])
-            self._cal_count -= 1
-            self._window_pops += 1
+        heapq.heappush(self._heap, [when, seq, fn, arg])
 
     def _note_cancelled(self) -> None:
         """A scheduled entry was cancelled; compact when mostly dead.
 
         Long runs with many cancellations (timeout guards that almost
         always get cancelled) would otherwise grow the schedule — and the
-        cost of every push — without bound.  Compaction rebuilds it from
-        the live entries once more than half of it is placeholders.
+        cost of every push — without bound.  Compaction rebuilds the heap
+        in place from the live entries once more than half of it is
+        placeholders.
         """
         self._cancelled += 1
-        total = self._cal_count + len(self._overflow)
+        heap = self._heap
         if (self._cancelled >= self._COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 >= total):
-            live = [e for e in self._overflow if e[2] is not None]
-            if not self._classic:
-                for b in self._buckets:
-                    for e in b:
-                        if e[2] is not None:
-                            live.append(e)
-                    del b[:]
-                self._cal_count = 0
-                self._cursor = self._nbuckets
-            heapq.heapify(live)
-            self._overflow = live
+                and self._cancelled * 2 >= len(heap)):
+            heap[:] = [e for e in heap if e[2] is not None]
+            heapq.heapify(heap)
             self._cancelled = 0
 
     # -- public API --------------------------------------------------------
     def schedule_at(self, when: float, action: Action) -> ScheduledEvent:
         """Schedule ``action`` to run at absolute simulated time ``when``."""
-        if when < self.clock._now:
+        # Written as a negated ``>=`` so a NaN instant is rejected too.
+        if not when >= self.clock._now:
             raise SimulationError(
-                f"cannot schedule in the past ({when} < {self.now})")
+                f"cannot schedule at {when}: not at or after now "
+                f"({self.now})")
         seq = self._seq
         self._seq = seq + 1
-        entry: List[Any] = [when, seq, action, _NO_ARG, False]
-        self._push(entry)
+        entry: List[Any] = [when, seq, action, _NO_ARG]
+        heapq.heappush(self._heap, entry)
         return ScheduledEvent(entry, owner=self)
 
     def schedule_after(self, delay: float, action: Action) -> ScheduledEvent:
         """Schedule ``action`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"delay cannot be negative: {delay}")
+        if not delay >= 0:
+            raise SimulationError(
+                f"delay must be a non-negative number, got {delay}")
         return self.schedule_at(self.clock._now + delay, action)
 
     def step(self) -> bool:
         """Fire the next event; return False when no live events remain."""
-        entry = self._peek()
-        if entry is None:
-            return False
-        self._pop_head()
-        # Pops are non-decreasing in time, so the direct write cannot move
-        # the clock backwards (ManualClock.set's guard, skipped for speed).
-        self.clock._now = entry[0]
-        self._events_processed += 1
-        fn = entry[2]
-        arg = entry[3]
-        entry[2] = None
-        if entry[4]:
-            entry[3] = None
-            if len(self._free) < self._FREE_MAX:
-                self._free.append(entry)
-        if arg is _NO_ARG:
-            fn()
-        else:
-            fn(arg)
-        return True
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed > before
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -375,31 +177,30 @@ class Simulator:
         """
         fired = 0
         clock = self.clock
-        free = self._free
-        free_max = self._FREE_MAX
+        heap = self._heap
+        pop = heapq.heappop
         noarg = _NO_ARG
-        peek = self._peek
-        pop_head = self._pop_head
-        while True:
-            entry = peek()
-            if entry is None:
-                break
+        while heap:
+            entry = heap[0]
+            fn = entry[2]
+            if fn is None:
+                pop(heap)
+                self._cancelled -= 1
+                continue
             when = entry[0]
             if until is not None and when > until:
                 break
             if max_events is not None and fired >= max_events:
                 return
-            pop_head()
+            pop(heap)
+            # Pops are non-decreasing in time, so the direct write cannot
+            # move the clock backwards (ManualClock.set's guard, skipped
+            # for speed).
             clock._now = when
             self._events_processed += 1
-            fn = entry[2]
-            arg = entry[3]
             entry[2] = None
-            if entry[4]:
-                entry[3] = None
-                if len(free) < free_max:
-                    free.append(entry)
             fired += 1
+            arg = entry[3]
             if arg is noarg:
                 fn()
             else:

@@ -235,43 +235,6 @@ class TestSeqlockDiscipline:
         assert violations == []
 
 
-class TestPoolDiscipline:
-    SELECT = {"pool-discipline"}
-
-    def test_fires_on_each_violation_shape(self):
-        violations = lint_fixture("pool_bad.py", select=self.SELECT)
-        assert rules_fired(violations) == {"pool-discipline"}
-        assert lines_fired(violations, "pool-discipline") == \
-            [6, 11, 16, 21, 27]
-
-    def test_silent_on_disciplined_usage(self):
-        assert lint_fixture("pool_ok.py", select=self.SELECT) == []
-
-    def test_rebinding_clears_the_poison(self):
-        source = ("def f(pool, q):\n"
-                  "    pool.release(q)\n"
-                  "    q = pool.acquire('t')\n"
-                  "    return q\n")
-        assert lint_source(source, "src/repro/x.py",
-                           LintConfig(select=self.SELECT)) == []
-
-    def test_release_in_branch_poisons_only_that_branch(self):
-        source = ("def f(pool, q, flag, sink):\n"
-                  "    if flag:\n"
-                  "        pool.release(q)\n"
-                  "    else:\n"
-                  "        sink.append(q)\n")
-        assert lint_source(source, "src/repro/x.py",
-                           LintConfig(select=self.SELECT)) == []
-
-    def test_lock_release_is_out_of_scope(self):
-        source = ("def f(lock, q):\n"
-                  "    lock.release()\n"
-                  "    return q\n")
-        assert lint_source(source, "src/repro/x.py",
-                           LintConfig(select=self.SELECT)) == []
-
-
 class TestSuppressions:
     def test_only_the_wrong_rule_name_still_fires(self):
         violations = lint_fixture("suppressed.py")
@@ -291,7 +254,7 @@ class TestFramework:
                 "lock-discipline", "no-swallowed-engine-errors",
                 "span-must-finish", "async-no-blocking", "no-orphan-task",
                 "fork-safety", "shm-lifecycle",
-                "seqlock-discipline", "pool-discipline"} <= names
+                "seqlock-discipline"} <= names
 
     def test_select_runs_only_chosen_rules(self):
         violations = lint_fixture("wall_clock_bad.py",

@@ -9,10 +9,9 @@ op scripts (records, enqueues, dequeues, clock advances, decision
 bursts with and without a host-style enqueue callback) for Bouncer in
 every histogram mode *and* every baseline/wrapper policy.
 
-Also here: the batch arm of the Figure 6 differential guard (a batched
-simulation run against the seed scalar run, and against the naive
-oracle), the empty-batch and snapshot-epoch-boundary memo regressions,
-and the runtime host's ``submit_many`` (including per-query fail-open).
+Also here: the empty-batch and snapshot-epoch-boundary memo
+regressions, and the runtime host's ``submit_many`` (including per-query
+fail-open).
 """
 
 import random
@@ -87,7 +86,7 @@ class World:
 
     def host_callback(self, query, result):
         """Host-style side effect: enqueue each accepted query before the
-        next one in the burst is decided (what ``offer_many`` does)."""
+        next one in the burst is decided (what ``submit_many`` does)."""
         if result.accepted:
             self.queue.on_enqueue(query.qtype)
             self.policy.on_enqueued(query)
@@ -275,47 +274,6 @@ class TestBatchMemoRegressions:
                 batch_world.policy.decide(Query(qtype=qtype)))
 
 
-class TestFig06BatchArm:
-    """The batch arm of the Figure 6 differential guard: a batched
-    simulation run must be bit-identical to the seed scalar run."""
-
-    def _run(self, burst, batched, oracle=False):
-        from repro.bench.experiments import (make_bouncer, simulation_mix,
-                                             simulation_slos)
-        from repro.sim.driver import run_simulation
-
-        seq = []
-        factory = make_bouncer()
-        if oracle:
-            slos = simulation_slos()
-            factory = lambda ctx: OracleBouncer(ctx, BouncerConfig(slos=slos))
-        report = run_simulation(
-            simulation_mix(), factory, rate_qps=4000.0,
-            num_queries=2500, parallelism=100, warmup_queries=1000,
-            seed=11, burst=burst, batched_admission=batched,
-            attainment_threshold=0.05,
-            on_decision=lambda now, q, r: seq.append(
-                (now, q.qtype, r.accepted,
-                 tuple(sorted(r.estimates.items())))))
-        return seq, report
-
-    @pytest.mark.parametrize("burst", [8, 64])
-    def test_batched_run_bit_identical_to_scalar_run(self, burst):
-        scalar_seq, scalar_report = self._run(burst, batched=False)
-        batch_seq, batch_report = self._run(burst, batched=True)
-        assert len(scalar_seq) > 0
-        assert scalar_seq == batch_seq
-        assert scalar_report.attainment == batch_report.attainment
-        assert scalar_report.overall.response == \
-            batch_report.overall.response
-
-    def test_batched_fast_matches_batched_naive(self):
-        fast_seq, fast_report = self._run(8, batched=True)
-        naive_seq, naive_report = self._run(8, batched=True, oracle=True)
-        assert fast_seq == naive_seq
-        assert fast_report.attainment == naive_report.attainment
-
-
 class TestRuntimeSubmitMany:
     def _make_server(self, policy_factory, workers=2):
         from repro.runtime import AdmissionServer
@@ -382,56 +340,3 @@ class TestRuntimeSubmitMany:
                 assert result.accepted
                 assert future is not None
                 assert future.result(timeout=2.0)[0] == "done"
-
-
-class TestSpansOnBatchDifferential:
-    """Satellite guard: an *unarmed* injector or an attached span recorder
-    must not push ``offer_many`` off the batch path, and tracing must not
-    perturb results — batched and scalar runs with spans on produce the
-    same report and the same span stream."""
-
-    def _run(self, batched):
-        import json
-
-        from repro.bench.experiments import make_bouncer, simulation_mix
-        from repro.faults import FaultInjector, FaultPlan
-        from repro.sim.driver import run_simulation
-        from repro.telemetry import SpanRecorder, Telemetry
-
-        recorder = SpanRecorder(capacity=100_000, sample_rate=1.0)
-        telemetry = Telemetry(spans=recorder)
-        # Attached but never armed: all hooks are inert no-ops.
-        injector = FaultInjector(FaultPlan(name="idle", seed=5))
-        report = run_simulation(
-            simulation_mix(), make_bouncer(), rate_qps=4000.0,
-            num_queries=1500, parallelism=100, warmup_queries=500,
-            seed=23, burst=4, batched_admission=batched,
-            telemetry=telemetry, attainment_threshold=0.05)
-        spans = []
-        # Global counters (query ids, trace/span ids) differ between two
-        # runs in one process; remap them to first-seen ordinals so only
-        # the structure and timings are compared.
-        canonical: dict = {}
-
-        def ordinal(value):
-            if value is None:
-                return None
-            return canonical.setdefault(value, len(canonical))
-
-        for line in recorder.render_jsonl().splitlines():
-            record = json.loads(line)
-            record.pop("query_id", None)
-            for key in ("trace_id", "span_id", "parent_id"):
-                if key in record:
-                    record[key] = ordinal(record[key])
-            spans.append(record)
-        return report, spans
-
-    def test_batched_run_matches_scalar_with_spans_on(self):
-        batch_report, batch_spans = self._run(batched=True)
-        scalar_report, scalar_spans = self._run(batched=False)
-        assert len(batch_spans) > 0
-        assert batch_spans == scalar_spans
-        assert batch_report.attainment == scalar_report.attainment
-        assert batch_report.overall == scalar_report.overall
-        assert batch_report.per_type == scalar_report.per_type

@@ -172,7 +172,6 @@ class TestBatchBench:
         doc = run_batch_bench(TINY, mode="tiny")
         assert doc["bench_id"] == BENCH02_ID
         assert doc["mode"] == "tiny"
-        assert isinstance(doc["numpy"], bool)
         out = tmp_path / "BENCH_02.json"
         written = write_batch_results(doc, str(out))
         assert written == [str(out)]

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import AlwaysAcceptPolicy
 from repro.exceptions import ConfigurationError
-from repro.sim import QueryTypeSpec, WorkloadMix, run_simulation
+from repro.liquid import ClusterConfig, linkedin_cost_table
+from repro.liquid import run_cluster_simulation
+from repro.sim import (ArrivalSchedule, QueryTypeSpec, WorkloadMix,
+                       run_simulation)
 
 
 def small_mix():
@@ -22,6 +25,24 @@ class TestRunSimulation:
     def test_rejects_bad_num_queries(self):
         with pytest.raises(ConfigurationError):
             run_simulation(small_mix(), accept_all, 100.0, num_queries=0)
+
+    @pytest.mark.parametrize("rate, warmup", [
+        (100.0, -300), (float("nan"), 10), (float("inf"), 10),
+        (-5.0, 10)])
+    def test_rejects_impossible_inputs(self, rate, warmup):
+        # A negative warm-up would silently shorten the measured run
+        # below ``num_queries``; a NaN rate slips past ``rate <= 0`` and
+        # an infinite one puts every arrival at t=0.
+        with pytest.raises(ConfigurationError):
+            run_simulation(small_mix(), accept_all, rate, num_queries=500,
+                           warmup_queries=warmup)
+        with pytest.raises(ConfigurationError):
+            run_cluster_simulation(
+                ClusterConfig(cost_table=linkedin_cost_table()),
+                accept_all, rate, num_queries=500, warmup_queries=warmup)
+        if warmup >= 0:  # the rate is the impossible input
+            with pytest.raises(ConfigurationError):
+                ArrivalSchedule(small_mix(), rate)
 
     def test_report_counts_measured_queries_only(self):
         mix = small_mix()

@@ -289,15 +289,10 @@ class TestSimulatorCompaction:
             event.cancel()
         # Compaction triggered part-way through the cancels (threshold 64,
         # majority-dead): the schedule shed placeholders while the live
-        # count stayed exact.  (Compaction rebuilds into the overflow heap;
-        # the calendar buckets are emptied by it.)
-        scheduled = len(sim._overflow) + sum(len(b) for b in sim._buckets)
-        assert scheduled < 200
+        # count stayed exact.
+        assert len(sim._heap) < 200
         assert sim.pending == 50
-        live = (sum(1 for e in sim._overflow if e[2] is not None)
-                + sum(1 for b in sim._buckets
-                      for e in b if e[2] is not None))
-        assert live == 50
+        assert sum(1 for e in sim._heap if e[2] is not None) == 50
 
     def test_late_cancel_after_fire_does_not_skew(self):
         sim = Simulator()

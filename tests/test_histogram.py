@@ -1,5 +1,6 @@
 """Unit tests for repro.core.histogram."""
 
+import random
 import struct
 
 import pytest
@@ -249,3 +250,37 @@ class TestSnapshotWireForm:
         assert all(count > 0 for count in as_dict["buckets"].values())
         assert decoded.count == sum(as_dict["buckets"].values())
         assert HistogramSnapshot.from_dict(as_dict).count == decoded.count
+
+
+MANY_TARGETS = (1.0, 5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
+FEW_TARGETS = (50.0, 90.0)
+
+
+def _random_snapshot(seed, count=500):
+    rng = random.Random(seed)
+    hist = LatencyHistogram()
+    for _ in range(count):
+        hist.record(rng.lognormvariate(-5.0, 1.0))
+    return hist.snapshot()
+
+
+class TestPercentileIdentity:
+    @pytest.mark.parametrize("seed,targets", [
+        (1, MANY_TARGETS), (2, MANY_TARGETS), (3, MANY_TARGETS),
+        (4, MANY_TARGETS), (5, MANY_TARGETS), (11, FEW_TARGETS),
+    ], ids=["many-1", "many-2", "many-3", "many-4", "many-5", "few-11"])
+    def test_percentiles_equals_per_target_percentile(self, seed, targets):
+        snap = _random_snapshot(seed)
+        assert snap.percentiles(targets) == [
+            snap.percentile(p) for p in targets]  # exact equality
+
+    def test_boundary_targets_identical(self):
+        # Percentile targets landing exactly on cumulative-count
+        # boundaries are where bisect_left tie-breaking matters; pin them.
+        hist = LatencyHistogram()
+        for value in (0.001, 0.001, 0.01, 0.01, 0.1, 0.1, 0.1, 1.0):
+            hist.record(value)
+        snap = hist.snapshot()
+        targets = (12.5, 25.0, 50.0, 62.5, 87.5, 100.0)
+        assert snap.percentiles(targets) == [
+            snap.percentile(p) for p in targets]

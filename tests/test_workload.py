@@ -1,7 +1,10 @@
 """Unit tests for workload modelling (query types, mixes, arrivals)."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -162,3 +165,15 @@ class TestServiceTimeOf:
 
     def test_reads_payload(self):
         assert service_time_of(Query(qtype="x", payload=0.042)) == 0.042
+
+
+class TestImportFootprint:
+    def test_import_does_not_load_numpy(self):
+        # numpy is a test extra only; the library itself is stdlib-only.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro\n"
+             "assert 'numpy' not in sys.modules, 'numpy imported'"],
+            env=env, cwd=root, check=True)
